@@ -1,12 +1,15 @@
 // Backend-vs-backend comparison over the SearcherBackend registry: for a
-// small (exact-tier) and a mid-size (sling-tier) dataset, measure every
-// backend's preprocess time, index footprint, mean query latency and
-// accuracy against the exact linear-formulation oracle, then demonstrate
-// the stat-driven selection policy end to end through a kAuto
+// small, a mid-size and a large web R-MAT dataset, measure every
+// backend's preprocess time, index footprint, mean and median query
+// latency and accuracy against the exact linear-formulation oracle, then
+// run SelectBackend's size rule end to end through a kAuto
 // service::QueryEngine (the service.backend.* counters land in the JSON
-// metrics snapshot). Case names are stable — CI asserts them in
+// metrics snapshot). "large" never drops below 16,384 vertices, so at
+// every --scale the matrix has rows on both sides of the exact/mc
+// crossover. Case names are stable — CI asserts them in
 // BENCH_backends.json.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -29,7 +32,7 @@ namespace simrank {
 namespace {
 
 struct BenchDataset {
-  std::string label;  // the case-name suffix: "small" | "mid"
+  std::string label;  // the case-name suffix: "small" | "mid" | "large"
   DirectedGraph graph;
 };
 
@@ -93,16 +96,18 @@ Accuracy MeasureAccuracy(const SearcherBackend& backend,
 int main(int argc, char** argv) {
   using namespace simrank;
   const bench::BenchArgs args = bench::ParseArgs(argc, argv);
-  bench::PrintHeader("Backend comparison: mc vs sling vs exact", args);
+  bench::PrintHeader("Backend comparison: mc vs exact", args);
   bench::BenchJsonReporter reporter("bench_backends", args);
   const int num_queries = args.queries > 0 ? args.queries : 20;
   const SearchOptions options = BenchSearchOptions();
 
-  // "small" stays inside the exact tier and "mid" inside the sling tier
-  // of the default BackendPolicy for every CI scale.
+  // "small" stays on the exact side of SelectBackend's crossover at every
+  // scale up to 8 and "large" on the mc side at every scale; "mid" crosses
+  // between scale 1 and 2.
   std::vector<BenchDataset> datasets;
   datasets.push_back(MakeDataset("small", 48, 160.0, 11, args.scale));
   datasets.push_back(MakeDataset("mid", 400, 4000.0, 12, args.scale));
+  datasets.push_back(MakeDataset("large", 16384, 16384.0, 13, args.scale));
 
   for (const BenchDataset& dataset : datasets) {
     const DirectedGraph& graph = dataset.graph;
@@ -118,24 +123,33 @@ int main(int argc, char** argv) {
         UniformDiagonal(graph.NumVertices(), options.simrank.decay));
 
     TablePrinter table({"backend", "build", "index", "mean query",
-                        "mean |err|", "recall@k"});
+                        "p50 query", "mean |err|", "recall@k"});
     for (BackendKind kind : RegisteredBackends()) {
       std::unique_ptr<SearcherBackend> backend =
           MakeBackend(kind, graph, options);
       WallTimer build_timer;
       backend->Build();
       const double build_seconds = build_timer.ElapsedSeconds();
-      WallTimer query_timer;
-      for (Vertex u : queries) backend->Query(u);
-      const double query_seconds = query_timer.ElapsedSeconds();
+      std::vector<double> latencies;
+      for (Vertex u : queries) {
+        WallTimer query_timer;
+        backend->Query(u);
+        latencies.push_back(query_timer.ElapsedSeconds());
+      }
+      double query_seconds = 0.0;
+      for (double seconds : latencies) query_seconds += seconds;
       const double mean_latency_us =
           queries.empty() ? 0.0 : query_seconds * 1e6 / queries.size();
+      std::sort(latencies.begin(), latencies.end());
+      const double p50_latency_us =
+          latencies.empty() ? 0.0 : latencies[latencies.size() / 2] * 1e6;
       const Accuracy accuracy =
           MeasureAccuracy(*backend, oracle, queries, options.k);
       table.AddRow({std::string(backend->name()),
                     FormatDuration(build_seconds),
                     FormatBytes(backend->MemoryBytes()),
                     FormatDuration(query_seconds / queries.size()),
+                    FormatDuration(p50_latency_us * 1e-6),
                     FormatDouble(accuracy.mean_abs_err, 4),
                     FormatDouble(accuracy.recall_at_k, 3)});
       reporter.AddCase(
@@ -144,16 +158,17 @@ int main(int argc, char** argv) {
           {{"build_seconds", build_seconds},
            {"index_bytes", static_cast<double>(backend->MemoryBytes())},
            {"mean_latency_us", mean_latency_us},
+           {"p50_latency_us", p50_latency_us},
            {"mean_abs_err", accuracy.mean_abs_err},
            {"recall_at_k", accuracy.recall_at_k}});
     }
     table.Print();
     std::printf("\n");
 
-    // The policy end to end: a kAuto engine must select the tier's
-    // backend, serve with it (response.backend + the per-backend request
-    // counters), and honor a per-request override to the Monte-Carlo
-    // kernel — all visible in the exported metrics snapshot.
+    // The size rule end to end: a kAuto engine must serve with the backend
+    // SelectBackend picks (response.backend + the per-backend request
+    // counters) and honor a per-request override to the other backend —
+    // all visible in the exported metrics snapshot.
     service::EngineOptions engine_options;
     engine_options.search = options;
     engine_options.backend = BackendChoice::kAuto;
@@ -175,12 +190,14 @@ int main(int argc, char** argv) {
       }
     }
     const double engine_seconds = engine_timer.ElapsedSeconds();
-    auto overridden = (*engine)->Query(
-        service::QueryRequest::ForVertex(queries.front())
-            .WithBackend(BackendKind::kMonteCarlo)
-            .WithBypassCache());
-    if (!overridden.ok() ||
-        overridden->backend != BackendKind::kMonteCarlo) {
+    const BackendKind other = selected == BackendKind::kExact
+                                  ? BackendKind::kMonteCarlo
+                                  : BackendKind::kExact;
+    auto overridden =
+        (*engine)->Query(service::QueryRequest::ForVertex(queries.front())
+                             .WithBackend(other)
+                             .WithBypassCache());
+    if (!overridden.ok() || overridden->backend != other) {
       std::fprintf(stderr, "error: per-request override did not apply\n");
       return 1;
     }

@@ -345,11 +345,11 @@ void BM_TopKQueryNoObs(benchmark::State& state) {
 }
 BENCHMARK(BM_TopKQueryNoObs);
 
-// --- alternative backends (simrank/searcher_backend.h) ----------------------
+// --- exact backend (simrank/backend_exact.h) --------------------------------
 
-// The deterministic backends get their own smaller corpus: the SLING
-// index is precomputed per vertex, so building it over the full micro
-// corpus at --scale=1 would dominate the suite's runtime for two cases.
+// The exact backend gets its own smaller corpus: its per-query cost grows
+// with T * (n + m), so querying the full micro corpus at --scale=1 would
+// dominate the suite's runtime for one case.
 const DirectedGraph& BenchBackendGraph() {
   static const DirectedGraph* graph = [] {
     const double target_n = std::max(256.0, 4096.0 * g_bench_scale);
@@ -363,41 +363,24 @@ const DirectedGraph& BenchBackendGraph() {
   return *graph;
 }
 
-const SearcherBackend& BenchBackend(BackendKind kind) {
-  static const SearcherBackend* backends[kNumBackendKinds] = {};
-  const size_t slot = static_cast<size_t>(kind);
-  if (backends[slot] == nullptr) {
-    auto backend = MakeBackend(kind, BenchBackendGraph(), SearchOptions{});
+// The exact linear-formulation oracle as a serving backend (the side of
+// SelectBackend's crossover with n + m <= 65,536).
+void BM_ExactQuery(benchmark::State& state) {
+  static const SearcherBackend* exact = [] {
+    auto backend =
+        MakeBackend(BackendKind::kExact, BenchBackendGraph(), SearchOptions{});
     backend->Build();
-    backends[slot] = backend.release();
-  }
-  return *backends[slot];
-}
-
-void RunBackendQuery(benchmark::State& state, BackendKind kind) {
-  const SearcherBackend& backend = BenchBackend(kind);
+    return backend.release();
+  }();
   const std::vector<Vertex> queries =
       bench::SampleQueryVertices(BenchBackendGraph(), 64, 7);
   size_t i = 0;
   for (auto _ : state) {
-    const QueryResult result = backend.Query(queries[i % queries.size()]);
+    const QueryResult result = exact->Query(queries[i % queries.size()]);
     benchmark::DoNotOptimize(result.top.size());
     ++i;
   }
   state.SetItemsProcessed(state.iterations());
-}
-
-// Single-source top-k against the precomputed SLING index: sparse
-// products over the stored hitting-probability vectors, no sampling.
-void BM_SlingQuery(benchmark::State& state) {
-  RunBackendQuery(state, BackendKind::kSling);
-}
-BENCHMARK(BM_SlingQuery);
-
-// The exact linear-formulation oracle as a serving backend (small-graph
-// tier of the selection policy).
-void BM_ExactQuery(benchmark::State& state) {
-  RunBackendQuery(state, BackendKind::kExact);
 }
 BENCHMARK(BM_ExactQuery);
 

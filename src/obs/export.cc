@@ -301,12 +301,11 @@ namespace {
 // base layer the simrank target links against (it cannot include
 // simrank/searcher_backend.h). Kept in sync by the backend-selection
 // tests, which assert the exported tag round-trips through this table.
+// Value 1 is retired.
 const char* BackendTagName(uint8_t backend) {
   switch (backend) {
     case 0:
       return "mc";
-    case 1:
-      return "sling";
     case 2:
       return "exact";
     default:

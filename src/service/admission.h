@@ -113,8 +113,7 @@ struct AdmissionOptions {
 
   /// Queue-depth degradation watermark: when more than this many
   /// submitted requests are waiting, sampling-backend queries run with
-  /// estimate walks (the PR 3 shed, now per-decision-recorded).
-  /// 0 disables. EngineOptions::load_shed_watermark maps here.
+  /// estimate walks and report degraded = true. 0 disables.
   size_t degrade_watermark = 0;
 
   /// Per-client token bucket: sustained requests/second per distinct

@@ -33,7 +33,7 @@ struct ServiceMetrics {
   obs::Histogram& latency_ns;
   /// Per-backend request split, indexed by BackendKind:
   /// service.backend.<name>.requests.
-  std::array<obs::Counter*, kNumBackendKinds> backend_requests;
+  std::array<obs::Counter*, kBackendSlots> backend_requests;
   /// Per-priority-class split, indexed by PriorityClass:
   /// service.class.<name>.{requests,shed,degraded,latency_ns}.
   std::array<obs::Counter*, kNumPriorityClasses> class_requests;
@@ -121,9 +121,8 @@ struct QueryEngine::Workspace {
 
 Status ValidateEngineOptions(const EngineOptions& options) {
   SIMRANK_RETURN_IF_ERROR(options.search.Validate());
-  SIMRANK_RETURN_IF_ERROR(options.backend_policy.Validate());
   if (options.backend != BackendChoice::kAuto &&
-      static_cast<size_t>(options.backend) >= kNumBackendKinds) {
+      !IsRegisteredBackend(static_cast<BackendKind>(options.backend))) {
     return Status::InvalidArgument(
         "EngineOptions::backend is not a registered backend");
   }
@@ -168,13 +167,6 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Create(
   return Finish(std::move(engine));
 }
 
-Result<std::unique_ptr<QueryEngine>> QueryEngine::Adopt(
-    TopKSearcher searcher, EngineOptions options) {
-  return AdoptBackend(
-      std::make_unique<MonteCarloBackend>(std::move(searcher)),
-      std::move(options));
-}
-
 Result<std::unique_ptr<QueryEngine>> QueryEngine::AdoptBackend(
     std::unique_ptr<SearcherBackend> backend, EngineOptions options) {
   SIMRANK_CHECK(backend != nullptr);
@@ -205,12 +197,6 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Finish(
   // Enough pooled workspaces for every worker plus a couple of synchronous
   // callers; beyond that, bursts allocate and drop.
   engine->max_pooled_workspaces_ = engine->pool_.num_threads() * 2 + 2;
-  // The PR 3 watermark is a legacy alias for the admission controller's
-  // degrade watermark; an explicit admission.degrade_watermark wins.
-  if (engine->options_.admission.degrade_watermark == 0) {
-    engine->options_.admission.degrade_watermark =
-        engine->options_.load_shed_watermark;
-  }
   if (engine->options_.admission.any_enabled()) {
     engine->admission_ =
         std::make_unique<AdmissionController>(engine->options_.admission);
@@ -233,13 +219,12 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Finish(
       obs::RollingWindow::Default().SetSlos(engine->options_.slos);
     }
   }
-  // Resolve and build the primary backend. kAuto applies the stat-driven
-  // policy: a pass over the graph's summary stats is O(n + m), noise next
-  // to any backend's preprocess.
+  // Resolve and build the primary backend. kAuto applies SelectBackend's
+  // size rule: a pass over the graph's summary stats is O(n + m), noise
+  // next to any backend's preprocess.
   engine->primary_kind_ =
       engine->options_.backend == BackendChoice::kAuto
-          ? SelectBackend(ComputeGraphStats(engine->graph_),
-                          engine->options_.backend_policy)
+          ? SelectBackend(ComputeGraphStats(engine->graph_))
           : static_cast<BackendKind>(engine->options_.backend);
   const SearcherBackend& primary =
       engine->GetOrCreateBackend(engine->primary_kind_, &engine->pool_);
@@ -311,8 +296,7 @@ Status QueryEngine::ValidateRequest(const QueryRequest& request) const {
   if (request.k.has_value() && *request.k < 1) {
     return Status::InvalidArgument("QueryRequest::k override must be >= 1");
   }
-  if (request.backend.has_value() &&
-      static_cast<size_t>(*request.backend) >= kNumBackendKinds) {
+  if (request.backend.has_value() && !IsRegisteredBackend(*request.backend)) {
     return Status::InvalidArgument(
         "QueryRequest::backend is not a registered backend");
   }
@@ -467,9 +451,9 @@ Result<AllPairsShard> QueryEngine::RunAllPairs(const AllPairsOptions& options) {
   }
   AllPairsOptions engine_options = options;
   engine_options.pool = &pool_;
-  // The checkpointed all-pairs machinery is Monte-Carlo-only
-  // (capabilities().checkpointed_all_pairs); engines serving another
-  // primary backend build the MC kernel on first all-pairs call.
+  // The checkpointed all-pairs machinery is Monte-Carlo-only; engines
+  // serving another primary backend build the MC kernel on first
+  // all-pairs call.
   return simrank::RunAllPairs(searcher(), engine_options);
 }
 

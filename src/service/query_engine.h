@@ -4,12 +4,11 @@
 // Concurrent query-serving engine: the request/response surface a service
 // is built on, layered over the pluggable SearcherBackend contract.
 //
-// The engine owns a set of query backends (the Monte-Carlo kernel, the
-// SLING-style precomputed index, the exact oracle — see
-// simrank/searcher_backend.h), a thread pool, a pool of reusable
-// per-thread workspaces, and a sharded LRU result cache. Which backend
-// serves is decided by EngineOptions::backend — a concrete kind, or
-// kAuto, which applies the stat-driven selection policy to the graph at
+// The engine owns a set of query backends (the Monte-Carlo kernel and the
+// exact oracle — see simrank/searcher_backend.h), a thread pool, a pool
+// of reusable per-thread workspaces, and a sharded LRU result cache.
+// Which backend serves is decided by EngineOptions::backend — a concrete
+// kind, or kAuto, which applies SelectBackend's size rule to the graph at
 // engine creation — and can be overridden per request
 // (QueryRequest::backend); non-primary backends are created and built
 // lazily on first use. Clients describe work as QueryRequest values
@@ -187,15 +186,11 @@ struct QueryResponse {
 struct EngineOptions {
   SearchOptions search;
 
-  /// Which backend serves queries by default. kAuto applies
-  /// `backend_policy` to the graph's summary stats at engine creation
-  /// (SelectBackend); a concrete choice pins it. The default stays the
-  /// paper's Monte-Carlo engine so existing deployments keep bit-identical
-  /// behavior — auto-selection is opt-in.
+  /// Which backend serves queries by default. kAuto applies SelectBackend
+  /// to the graph's summary stats at engine creation; a concrete choice
+  /// pins it. The default stays the paper's Monte-Carlo engine so existing
+  /// deployments keep bit-identical behavior — auto-selection is opt-in.
   BackendChoice backend = BackendChoice::kMonteCarlo;
-
-  /// Thresholds for kAuto (ignored otherwise). Validated at creation.
-  BackendPolicy backend_policy;
 
   /// Worker threads for Submit/SubmitBatch/QueryAll; 0 means
   /// hardware_concurrency.
@@ -205,13 +200,6 @@ struct EngineOptions {
   bool enable_cache = true;
   size_t cache_capacity = 4096;
   uint32_t cache_shards = 8;
-
-  /// Legacy alias (PR 3) for `admission.degrade_watermark`: when more
-  /// than this many submitted requests are waiting for a worker, queries
-  /// run with refine_walks dropped to estimate_walks (the rough pass)
-  /// and report degraded = true. 0 disables. Ignored when
-  /// `admission.degrade_watermark` is set explicitly.
-  size_t load_shed_watermark = 0;
 
   /// Admission control (docs/SERVING.md): per-class bounded backlogs,
   /// per-client token buckets, and the SLO-feedback degradation curve.
@@ -252,19 +240,12 @@ class QueryEngine {
   static Result<std::unique_ptr<QueryEngine>> Create(
       const DirectedGraph& graph, EngineOptions options);
 
-  /// Wraps an existing searcher (e.g. one restored by
-  /// LoadSearcherIndex) instead of building a new one; options.search is
-  /// replaced by the searcher's own options, which are still validated.
-  /// Builds the index if the searcher has not been preprocessed yet. The
-  /// engine's primary backend is pinned to the Monte-Carlo kernel.
-  static Result<std::unique_ptr<QueryEngine>> Adopt(TopKSearcher searcher,
-                                                    EngineOptions options);
-
-  /// Wraps an existing backend (e.g. one restored by LoadBackendIndex)
-  /// as the engine's primary backend; options.search is replaced by the
-  /// backend's own options, which are still validated, and
-  /// options.backend is pinned to the backend's kind. Builds the backend
-  /// if it has not been preprocessed yet.
+  /// Wraps an existing backend (e.g. a MonteCarloBackend around a
+  /// searcher restored by LoadSearcherIndex) as the engine's primary
+  /// backend; options.search is replaced by the backend's own options,
+  /// which are still validated, and options.backend is pinned to the
+  /// backend's kind. Builds the backend if it has not been preprocessed
+  /// yet.
   static Result<std::unique_ptr<QueryEngine>> AdoptBackend(
       std::unique_ptr<SearcherBackend> backend, EngineOptions options);
 
@@ -350,7 +331,7 @@ class QueryEngine {
 
   const EngineOptions& options() const { return options_; }
 
-  /// The graph this engine serves (the one passed to Create/Adopt).
+  /// The graph this engine serves (the one passed to Create/AdoptBackend).
   const DirectedGraph& graph() const { return graph_; }
 
  private:
@@ -399,9 +380,9 @@ class QueryEngine {
   /// as a lock-free pointer once it is *built*, so the per-request fast
   /// path never touches `backend_mutex_`.
   mutable Mutex backend_mutex_;
-  mutable std::array<std::unique_ptr<SearcherBackend>, kNumBackendKinds>
+  mutable std::array<std::unique_ptr<SearcherBackend>, kBackendSlots>
       backends_ SIMRANK_GUARDED_BY(backend_mutex_);
-  mutable std::array<std::atomic<SearcherBackend*>, kNumBackendKinds>
+  mutable std::array<std::atomic<SearcherBackend*>, kBackendSlots>
       backend_ptrs_{};
 
   std::unique_ptr<ResultCache> cache_;  // null when disabled

@@ -12,10 +12,11 @@ namespace simrank {
 /// The exact linear-formulation oracle (simrank/linear.h) promoted to a
 /// real serving backend: single-source costs O(T^2 m) sparse propagation
 /// and pair O(T m), so on small graphs it beats sampling outright — zero
-/// variance, zero preprocess memory — and the selection policy defaults
-/// tiny graphs here. Build() only resolves the diagonal correction
-/// (uniform, or the fixed-point estimate when options.estimate_diagonal
-/// is set); there is no index to store or serialize.
+/// variance, zero preprocess memory — and SelectBackend defaults graphs
+/// with n + m <= 65,536 here. Build() only resolves the diagonal
+/// correction (uniform, or the fixed-point estimate when
+/// options.estimate_diagonal is set); there is no index to store or
+/// serialize.
 class ExactBackend : public SearcherBackend {
  public:
   /// The graph must outlive the backend.
@@ -23,13 +24,6 @@ class ExactBackend : public SearcherBackend {
   ~ExactBackend() override;
 
   BackendKind kind() const override { return BackendKind::kExact; }
-  BackendCapabilities capabilities() const override {
-    return {.needs_build = true,
-            .serializable = false,
-            .deterministic = true,
-            .checkpointed_all_pairs = false};
-  }
-
   void Build(ThreadPool* pool = nullptr) override;
   bool built() const override { return linear_ != nullptr; }
   double preprocess_seconds() const override { return preprocess_seconds_; }

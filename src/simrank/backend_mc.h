@@ -21,17 +21,10 @@ class MonteCarloBackend : public SearcherBackend {
   /// The graph must outlive the backend.
   MonteCarloBackend(const DirectedGraph& graph, const SearchOptions& options);
   /// Adopts an already-prepared searcher (the deserialization path; see
-  /// LoadBackendIndex). The searcher's graph must outlive the backend.
+  /// LoadSearcherIndex). The searcher's graph must outlive the backend.
   explicit MonteCarloBackend(TopKSearcher searcher);
 
   BackendKind kind() const override { return BackendKind::kMonteCarlo; }
-  BackendCapabilities capabilities() const override {
-    return {.needs_build = true,
-            .serializable = true,
-            .deterministic = false,
-            .checkpointed_all_pairs = true};
-  }
-
   void Build(ThreadPool* pool = nullptr) override;
   bool built() const override { return searcher_.index_built(); }
   double preprocess_seconds() const override {

@@ -44,7 +44,6 @@
 #include "simrank/partial_sums.h"    // IWYU pragma: export
 #include "simrank/searcher_backend.h"  // IWYU pragma: export
 #include "simrank/serialization.h"   // IWYU pragma: export
-#include "simrank/sling.h"           // IWYU pragma: export
 #include "service/query_engine.h"    // IWYU pragma: export
 #include "service/result_cache.h"    // IWYU pragma: export
 #include "simrank/surfer_pair.h"     // IWYU pragma: export

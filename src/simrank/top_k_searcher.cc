@@ -121,14 +121,6 @@ Status QueryLimits::Validate() const {
   return Status::OK();
 }
 
-Status SlingTuning::Validate() const {
-  if (!(precision > 0.0 && precision <= 1.0)) {  // negation also rejects NaN
-    return Status::InvalidArgument("sling.precision must be in (0, 1], got " +
-                                   std::to_string(precision));
-  }
-  return Status::OK();
-}
-
 Status McTuning::Validate() const {
   if (estimate_walks < 1) {
     return Status::InvalidArgument("estimate_walks must be >= 1");
@@ -171,8 +163,7 @@ Status SearchOptions::Validate() const {
     return Status::InvalidArgument("num_steps must be >= 1");
   }
   SIMRANK_RETURN_IF_ERROR(limits().Validate());
-  SIMRANK_RETURN_IF_ERROR(mc().Validate());
-  return sling.Validate();
+  return mc().Validate();
 }
 
 TopKSearcher::TopKSearcher(const DirectedGraph& graph, SearchOptions options)

@@ -98,36 +98,18 @@ struct McTuning {
   Status Validate() const;
 };
 
-/// SLING-style indexed backend tuning (simrank/sling.h). Grouped here so
-/// EngineOptions/SearchOptions carry one authoritative copy of every
-/// backend's knobs; the SLING backend reads only this and QueryLimits.
-struct SlingTuning {
-  /// Per-step sparsification threshold eps: hitting probabilities below it
-  /// are dropped from the precomputed index. Smaller = more accurate and
-  /// bigger; the induced absolute score error is O(T * eps).
-  double precision = 1e-4;
-
-  /// Range-checks every field, returning InvalidArgument naming the
-  /// offending field.
-  Status Validate() const;
-};
-
 /// Options of the similarity search engine. Defaults reproduce the
 /// paper's experimental setting (§8): c = 0.6, T = 11, k = 20, theta =
 /// 0.01, R = 100 for scoring and Algorithm 3, R = 10000 for Algorithm 2,
 /// P = 10, Q = 5, adaptive sampling 10 -> 100.
 ///
 /// Structurally this is the backend-agnostic QueryLimits plus the
-/// per-backend tuning blocks. The limits and the Monte-Carlo tuning are
-/// *base classes*, so every pre-split field keeps its flat spelling
-/// (`options.k`, `options.refine_walks`, ...) — existing callers build
-/// unchanged — while backends slice out just the part they consume
-/// (`options.limits()`, `options.mc()`).
+/// Monte-Carlo tuning block. Both are *base classes*, so every pre-split
+/// field keeps its flat spelling (`options.k`, `options.refine_walks`,
+/// ...) — existing callers build unchanged — while backends slice out
+/// just the part they consume (`options.limits()`, `options.mc()`).
 struct SearchOptions : QueryLimits, McTuning {
   SimRankParams simrank;
-
-  /// SLING backend tuning (ignored by the Monte-Carlo and exact paths).
-  SlingTuning sling;
 
   IndexParams index_params;
 
@@ -151,7 +133,7 @@ struct SearchOptions : QueryLimits, McTuning {
   const McTuning& mc() const { return *this; }
 
   /// Range-checks every user-tunable field (decay, steps, the QueryLimits,
-  /// the per-backend tuning blocks) and returns InvalidArgument naming the
+  /// the Monte-Carlo tuning) and returns InvalidArgument naming the
   /// offending field instead of aborting. This is the entry-point
   /// validation used by service::QueryEngine::Create; the TopKSearcher
   /// constructor keeps SIMRANK_CHECK only as a last-resort internal

@@ -1,5 +1,5 @@
-// Stat-driven backend selection and the engine's backend plumbing: the
-// SelectBackend policy tiers, kAuto resolution at engine creation,
+// Size-driven backend selection and the engine's backend plumbing: the
+// SelectBackend exact/mc crossover, kAuto resolution at engine creation,
 // per-request backend overrides, the backend field of the result-cache
 // key (a cross-backend hit would serve one algorithm's scores under
 // another's name), per-backend service metrics, and the backend tag
@@ -34,58 +34,25 @@ GraphStats StatsOf(uint64_t n, uint64_t m) {
   return stats;
 }
 
-TEST(SelectBackendTest, TiersByGraphSize) {
-  const BackendPolicy policy;
-  EXPECT_EQ(SelectBackend(StatsOf(10, 20), policy), BackendKind::kExact);
-  EXPECT_EQ(SelectBackend(StatsOf(10'000, 80'000), policy),
-            BackendKind::kSling);
-  EXPECT_EQ(SelectBackend(StatsOf(10'000'000, 200'000'000), policy),
+TEST(SelectBackendTest, ExactUpToTheCrossoverInclusive) {
+  EXPECT_EQ(SelectBackend(StatsOf(10, 20)), BackendKind::kExact);
+  EXPECT_EQ(SelectBackend(StatsOf(4'096, 32'768)), BackendKind::kExact);
+  EXPECT_EQ(SelectBackend(StatsOf(8'192, 57'344)), BackendKind::kExact);
+  EXPECT_EQ(SelectBackend(StatsOf(8'192, 57'345)), BackendKind::kMonteCarlo);
+}
+
+TEST(SelectBackendTest, MonteCarloAboveTheCrossover) {
+  EXPECT_EQ(SelectBackend(StatsOf(16'384, 131'072)), BackendKind::kMonteCarlo);
+  EXPECT_EQ(SelectBackend(StatsOf(10'000'000, 200'000'000)),
             BackendKind::kMonteCarlo);
-}
-
-TEST(SelectBackendTest, LimitsAreInclusive) {
-  const BackendPolicy policy;
-  EXPECT_EQ(SelectBackend(
-                StatsOf(policy.exact_max_vertices, policy.exact_max_edges),
-                policy),
-            BackendKind::kExact);
-  EXPECT_EQ(SelectBackend(
-                StatsOf(policy.exact_max_vertices + 1, policy.exact_max_edges),
-                policy),
-            BackendKind::kSling);
-  EXPECT_EQ(SelectBackend(
-                StatsOf(policy.sling_max_vertices, policy.sling_max_edges),
-                policy),
-            BackendKind::kSling);
-  EXPECT_EQ(SelectBackend(
-                StatsOf(policy.sling_max_vertices, policy.sling_max_edges + 1),
-                policy),
-            BackendKind::kMonteCarlo);
-}
-
-TEST(SelectBackendTest, EitherDimensionCanDisqualifyATier) {
-  const BackendPolicy policy;
-  // Few vertices but too many edges for the exact tier.
-  EXPECT_EQ(SelectBackend(StatsOf(100, policy.exact_max_edges + 1), policy),
-            BackendKind::kSling);
-  // Few edges but too many vertices for the sling tier.
-  EXPECT_EQ(
-      SelectBackend(StatsOf(policy.sling_max_vertices + 1, 100), policy),
-      BackendKind::kMonteCarlo);
-}
-
-TEST(BackendPolicyTest, ValidateRejectsInvertedTiers) {
-  BackendPolicy policy;
-  EXPECT_TRUE(policy.Validate().ok());
-  policy.exact_max_vertices = policy.sling_max_vertices + 1;
-  EXPECT_EQ(policy.Validate().code(), StatusCode::kInvalidArgument);
-  policy = BackendPolicy();
-  policy.exact_max_edges = policy.sling_max_edges + 1;
-  EXPECT_FALSE(policy.Validate().ok());
+  // The rule is on n + m, so either dimension alone can cross it.
+  EXPECT_EQ(SelectBackend(StatsOf(65'537, 0)), BackendKind::kMonteCarlo);
+  EXPECT_EQ(SelectBackend(StatsOf(1, 65'536)), BackendKind::kMonteCarlo);
+  EXPECT_EQ(SelectBackend(StatsOf(0, 65'536)), BackendKind::kExact);
 }
 
 TEST(BackendNamesTest, ChoiceGrammarRoundTrips) {
-  for (const char* name : {"mc", "sling", "exact", "auto"}) {
+  for (const char* name : {"mc", "exact", "auto"}) {
     const auto choice = ParseBackendChoice(name);
     ASSERT_TRUE(choice.has_value()) << name;
     EXPECT_EQ(BackendChoiceName(*choice), name);
@@ -93,7 +60,19 @@ TEST(BackendNamesTest, ChoiceGrammarRoundTrips) {
   EXPECT_FALSE(ParseBackendChoice("montecarlo").has_value());
   EXPECT_FALSE(ParseBackendChoice("").has_value());
   EXPECT_FALSE(ParseBackendKind("auto").has_value());
-  EXPECT_EQ(ParseBackendKind("sling"), BackendKind::kSling);
+  EXPECT_EQ(ParseBackendKind("exact"), BackendKind::kExact);
+}
+
+TEST(BackendNamesTest, WireValuesAreStable) {
+  // The values travel in cache keys, event records and the
+  // service.backend.primary gauge; value 1 is retired, never reused.
+  EXPECT_EQ(static_cast<int>(BackendKind::kMonteCarlo), 0);
+  EXPECT_EQ(static_cast<int>(BackendKind::kExact), 2);
+  EXPECT_FALSE(IsRegisteredBackend(static_cast<BackendKind>(1)));
+  for (BackendKind kind : RegisteredBackends()) {
+    EXPECT_TRUE(IsRegisteredBackend(kind)) << BackendKindName(kind);
+    EXPECT_LT(static_cast<size_t>(kind), kBackendSlots);
+  }
 }
 
 // --- engine integration -----------------------------------------------------
@@ -118,8 +97,8 @@ TEST(EngineBackendTest, DefaultPrimaryIsMonteCarlo) {
   EXPECT_EQ(response->backend, BackendKind::kMonteCarlo);
 }
 
-TEST(EngineBackendTest, AutoPicksExactForTinyGraphs) {
-  // 50 vertices / ~100 edges sits inside the exact tier.
+TEST(EngineBackendTest, AutoPicksExactForSmallGraphs) {
+  // 50 vertices / ~100 edges sits far below the crossover.
   DirectedGraph graph = testing::SmallRandomGraph(50, 12);
   service::EngineOptions options = FastEngineOptions();
   options.backend = BackendChoice::kAuto;
@@ -131,27 +110,18 @@ TEST(EngineBackendTest, AutoPicksExactForTinyGraphs) {
   EXPECT_EQ(response->backend, BackendKind::kExact);
 }
 
-TEST(EngineBackendTest, AutoPicksSlingForMidGraphs) {
-  DirectedGraph graph = testing::SmallRandomGraph(400, 13, 100);
+TEST(EngineBackendTest, AutoSwitchesToMonteCarloPastTheCrossover) {
+  // Edgeless graphs keep both builds trivial: n + m is just n.
   service::EngineOptions options = FastEngineOptions();
   options.backend = BackendChoice::kAuto;
-  auto engine = service::QueryEngine::Create(graph, options);
-  ASSERT_TRUE(engine.ok());
-  EXPECT_EQ((*engine)->primary_backend(), BackendKind::kSling);
-}
-
-TEST(EngineBackendTest, AutoFallsBackToMonteCarloAboveTheCaps) {
-  DirectedGraph graph = testing::SmallRandomGraph(60, 14, 30);
-  service::EngineOptions options = FastEngineOptions();
-  options.backend = BackendChoice::kAuto;
-  // Shrink the tiers instead of building a two-million-edge graph.
-  options.backend_policy.exact_max_vertices = 4;
-  options.backend_policy.exact_max_edges = 4;
-  options.backend_policy.sling_max_vertices = 10;
-  options.backend_policy.sling_max_edges = 10;
-  auto engine = service::QueryEngine::Create(graph, options);
-  ASSERT_TRUE(engine.ok());
-  EXPECT_EQ((*engine)->primary_backend(), BackendKind::kMonteCarlo);
+  const DirectedGraph at_crossover = testing::GraphFromEdges(65'536, {});
+  auto exact = service::QueryEngine::Create(at_crossover, options);
+  ASSERT_TRUE(exact.ok());
+  EXPECT_EQ((*exact)->primary_backend(), BackendKind::kExact);
+  const DirectedGraph past_crossover = testing::GraphFromEdges(65'537, {});
+  auto mc = service::QueryEngine::Create(past_crossover, options);
+  ASSERT_TRUE(mc.ok());
+  EXPECT_EQ((*mc)->primary_backend(), BackendKind::kMonteCarlo);
 }
 
 TEST(EngineBackendTest, CreateRejectsBadBackendConfiguration) {
@@ -159,15 +129,26 @@ TEST(EngineBackendTest, CreateRejectsBadBackendConfiguration) {
   service::EngineOptions options = FastEngineOptions();
   options.backend = static_cast<BackendChoice>(7);
   EXPECT_FALSE(service::QueryEngine::Create(graph, options).ok());
+}
 
-  options = FastEngineOptions();
-  options.backend_policy.exact_max_vertices =
-      options.backend_policy.sling_max_vertices + 1;
-  EXPECT_FALSE(service::QueryEngine::Create(graph, options).ok());
+// The retired wire value 1 is in range of the slot arrays but names no
+// backend: it must be refused up front, not handed to MakeBackend (which
+// returns null for it).
+TEST(EngineBackendTest, RetiredBackendValueIsRejected) {
+  DirectedGraph graph = testing::SmallRandomGraph(40, 15);
+  service::EngineOptions options = FastEngineOptions();
+  options.backend = static_cast<BackendChoice>(1);
+  auto created = service::QueryEngine::Create(graph, options);
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
 
-  options = FastEngineOptions();
-  options.search.sling.precision = 0.0;
-  EXPECT_FALSE(service::QueryEngine::Create(graph, options).ok());
+  auto engine = service::QueryEngine::Create(graph, FastEngineOptions());
+  ASSERT_TRUE(engine.ok());
+  service::QueryRequest request = service::QueryRequest::ForVertex(3);
+  request.backend = static_cast<BackendKind>(1);
+  auto response = (*engine)->Query(request);
+  ASSERT_FALSE(response.ok());
+  EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(EngineBackendTest, PerRequestOverrideServesThatBackend) {
@@ -205,38 +186,38 @@ TEST(EngineBackendTest, CacheNeverServesAcrossBackends) {
   DirectedGraph graph = testing::SmallRandomGraph(60, 18, 30);
   auto engine = service::QueryEngine::Create(graph, FastEngineOptions());
   ASSERT_TRUE(engine.ok());
+  auto mc = (*engine)->Query(service::QueryRequest::ForVertex(9));
+  ASSERT_TRUE(mc.ok());
+  EXPECT_FALSE(mc->from_cache);
+  EXPECT_EQ(mc->backend, BackendKind::kMonteCarlo);
   auto exact = (*engine)->Query(service::QueryRequest::ForVertex(9)
                                     .WithBackend(BackendKind::kExact));
   ASSERT_TRUE(exact.ok());
-  EXPECT_FALSE(exact->from_cache);
-  auto sling = (*engine)->Query(service::QueryRequest::ForVertex(9)
-                                    .WithBackend(BackendKind::kSling));
-  ASSERT_TRUE(sling.ok());
-  EXPECT_FALSE(sling->from_cache) << "served the exact backend's entry";
-  EXPECT_EQ(sling->backend, BackendKind::kSling);
-  auto sling_again = (*engine)->Query(service::QueryRequest::ForVertex(9)
-                                          .WithBackend(BackendKind::kSling));
-  ASSERT_TRUE(sling_again.ok());
-  EXPECT_TRUE(sling_again->from_cache);
-  EXPECT_EQ(sling_again->backend, BackendKind::kSling);
+  EXPECT_FALSE(exact->from_cache) << "served the mc backend's entry";
+  EXPECT_EQ(exact->backend, BackendKind::kExact);
+  auto exact_again = (*engine)->Query(service::QueryRequest::ForVertex(9)
+                                          .WithBackend(BackendKind::kExact));
+  ASSERT_TRUE(exact_again.ok());
+  EXPECT_TRUE(exact_again->from_cache);
+  EXPECT_EQ(exact_again->backend, BackendKind::kExact);
 }
 
 TEST(EngineBackendTest, PerBackendRequestCountersIncrement) {
   DirectedGraph graph = testing::SmallRandomGraph(60, 19, 30);
   auto engine = service::QueryEngine::Create(graph, FastEngineOptions());
   ASSERT_TRUE(engine.ok());
-  obs::Counter& sling_requests = obs::MetricsRegistry::Default().GetCounter(
-      "service.backend.sling.requests");
+  obs::Counter& exact_requests = obs::MetricsRegistry::Default().GetCounter(
+      "service.backend.exact.requests");
   obs::Counter& mc_requests = obs::MetricsRegistry::Default().GetCounter(
       "service.backend.mc.requests");
-  const uint64_t sling_before = sling_requests.Value();
+  const uint64_t exact_before = exact_requests.Value();
   const uint64_t mc_before = mc_requests.Value();
   ASSERT_TRUE((*engine)
                   ->Query(service::QueryRequest::ForVertex(4).WithBackend(
-                      BackendKind::kSling))
+                      BackendKind::kExact))
                   .ok());
   ASSERT_TRUE((*engine)->Query(service::QueryRequest::ForVertex(4)).ok());
-  EXPECT_EQ(sling_requests.Value(), sling_before + 1);
+  EXPECT_EQ(exact_requests.Value(), exact_before + 1);
   EXPECT_EQ(mc_requests.Value(), mc_before + 1);
 }
 
@@ -246,13 +227,13 @@ TEST(EngineBackendTest, EventsCarryTheBackendTag) {
   auto engine = service::QueryEngine::Create(graph, FastEngineOptions());
   ASSERT_TRUE(engine.ok());
   auto response = (*engine)->Query(service::QueryRequest::ForVertex(6)
-                                       .WithBackend(BackendKind::kSling));
+                                       .WithBackend(BackendKind::kExact));
   ASSERT_TRUE(response.ok());
   const std::vector<QueryEvent> events = EventLog::Default().Snapshot();
   ASSERT_FALSE(events.empty());
   EXPECT_EQ(events.back().query_id, response->query_id);
   EXPECT_EQ(events.back().backend,
-            static_cast<uint8_t>(BackendKind::kSling));
+            static_cast<uint8_t>(BackendKind::kExact));
 }
 
 TEST(EngineBackendTest, EventsJsonNamesTheBackend) {
@@ -260,28 +241,28 @@ TEST(EngineBackendTest, EventsJsonNamesTheBackend) {
   QueryEvent event;
   event.query_id = 77;
   event.duration_ns = 1000;
-  event.backend = static_cast<uint8_t>(BackendKind::kSling);
+  event.backend = static_cast<uint8_t>(BackendKind::kExact);
   report.events.push_back(event);
   const JsonValue doc = ParseOrFail(obs::EventsToJson(report));
   ASSERT_EQ(doc.At("events").array.size(), 1u);
   // obs/export.cc keeps its own name table (obs cannot depend on
   // simrank); this pins the two tables to each other.
   EXPECT_EQ(doc.At("events").array[0].At("backend").string,
-            BackendKindName(BackendKind::kSling));
+            BackendKindName(BackendKind::kExact));
 }
 
 TEST(EngineBackendTest, AdoptBackendPinsThePrimary) {
   DirectedGraph graph = testing::SmallRandomGraph(60, 21, 30);
   service::EngineOptions options = FastEngineOptions();
   std::unique_ptr<SearcherBackend> backend =
-      MakeBackend(BackendKind::kSling, graph, options.search);
+      MakeBackend(BackendKind::kExact, graph, options.search);
   auto engine =
       service::QueryEngine::AdoptBackend(std::move(backend), options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  EXPECT_EQ((*engine)->primary_backend(), BackendKind::kSling);
+  EXPECT_EQ((*engine)->primary_backend(), BackendKind::kExact);
   auto response = (*engine)->Query(service::QueryRequest::ForVertex(2));
   ASSERT_TRUE(response.ok());
-  EXPECT_EQ(response->backend, BackendKind::kSling);
+  EXPECT_EQ(response->backend, BackendKind::kExact);
 }
 
 }  // namespace

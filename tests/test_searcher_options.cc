@@ -240,22 +240,14 @@ TEST(SearchOptionsValidateTest, PerBackendSlicesValidateIndependently) {
   EXPECT_TRUE(mc.Validate().ok());
   mc.refine_walks = 0;
   EXPECT_FALSE(mc.Validate().ok());
-
-  SlingTuning sling;
-  EXPECT_TRUE(sling.Validate().ok());
-  sling.precision = 0.0;
-  Status status = sling.Validate();
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("sling.precision"), std::string::npos);
-  sling.precision = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_FALSE(sling.Validate().ok());
-  sling.precision = 2.0;
-  EXPECT_FALSE(sling.Validate().ok());
 }
 
 TEST(SearchOptionsValidateTest, CompositeValidateCoversEverySlice) {
   SearchOptions options;
-  options.sling.precision = -1.0;
+  options.k = 0;
+  EXPECT_FALSE(options.Validate().ok());
+  options = SearchOptions();
+  options.refine_walks = 0;
   EXPECT_FALSE(options.Validate().ok());
   options = SearchOptions();
   // The slices are base classes: the flat spellings still work and the

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <future>
 #include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -19,6 +20,7 @@
 #include "eval/datasets.h"
 #include "service/query_engine.h"
 #include "service/result_cache.h"
+#include "simrank/backend_mc.h"
 #include "simrank/top_k_searcher.h"
 #include "test_helpers.h"
 #include "util/arena.h"
@@ -99,7 +101,8 @@ TEST_F(ServiceEngineTest, AdoptWrapsExistingSearcher) {
 
   TopKSearcher to_adopt(graph_, BaseSearch());
   to_adopt.BuildIndex();
-  auto engine = QueryEngine::Adopt(std::move(to_adopt), BaseEngine());
+  auto engine = QueryEngine::AdoptBackend(
+      std::make_unique<MonteCarloBackend>(std::move(to_adopt)), BaseEngine());
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   auto response = (*engine)->Query(QueryRequest::ForVertex(5));
   ASSERT_TRUE(response.ok());
@@ -359,7 +362,7 @@ TEST_F(ServiceEngineTest, MidGroupDeadlineReturnsPartialStats) {
 TEST_F(ServiceEngineTest, BacklogShedsLoadAndReportsDegradation) {
   EngineOptions options = BaseEngine();
   options.num_threads = 1;
-  options.load_shed_watermark = 1;
+  options.admission.degrade_watermark = 1;
   auto engine = QueryEngine::Create(graph_, options);
   ASSERT_TRUE(engine.ok());
 
@@ -660,7 +663,7 @@ TEST_F(ServiceEngineTest, ArenaRecyclingStaysAllocationFreeUnderLoad) {
 TEST_F(ServiceEngineTest, ConcurrentSubmissionStress) {
   EngineOptions options = BaseEngine();
   options.num_threads = 4;
-  options.load_shed_watermark = 8;
+  options.admission.degrade_watermark = 8;
   options.cache_capacity = 32;  // small, so eviction churns under load
   options.cache_shards = 2;
   auto engine = QueryEngine::Create(graph_, options);

@@ -33,27 +33,17 @@ run_checked(${CLI} exact ${graph} --vertex=5 --k=5)
 
 # --- pluggable backends -------------------------------------------------
 
-set(sling_index ${WORK_DIR}/cli_smoke_sling.idx)
-run_checked(${CLI} preprocess ${graph} --index=${sling_index}
-            --backend=sling)
-run_checked(${CLI} query ${graph} --index=${sling_index} --vertex=5 --k=5
-            --backend=sling)
-if(NOT LAST_OUTPUT MATCHES "backend=sling")
-  message(FATAL_ERROR "query did not report the sling backend:"
-          " ${LAST_OUTPUT}")
-endif()
 run_checked(${CLI} query ${graph} --vertex=5 --k=5 --backend=exact)
 if(NOT LAST_OUTPUT MATCHES "backend=exact")
   message(FATAL_ERROR "query did not report the exact backend:"
           " ${LAST_OUTPUT}")
 endif()
-# 2,000 vertices / 8,000 edges sits in the sling tier of the default
-# policy, so auto must pick sling.
+# 2,000 vertices + 8,000 edges is below the 65,536 exact/mc crossover, so
+# auto must pick exact.
 run_checked(${CLI} query ${graph} --vertex=5 --k=5 --backend=auto)
-if(NOT LAST_OUTPUT MATCHES "backend=sling")
-  message(FATAL_ERROR "auto selection did not pick sling: ${LAST_OUTPUT}")
+if(NOT LAST_OUTPUT MATCHES "backend=exact")
+  message(FATAL_ERROR "auto selection did not pick exact: ${LAST_OUTPUT}")
 endif()
-file(REMOVE ${sling_index})
 
 set(shard ${WORK_DIR}/cli_smoke_shard.tsv)
 run_checked(${CLI} allpairs ${graph} --out=${shard} --partition=0
@@ -84,10 +74,10 @@ expect_code(2 ${CLI} generate --family=nosuch --out=${WORK_DIR}/x.bin)
 expect_code(2 ${CLI} query ${graph} --vertex=5 --backend=nosuch)
 expect_code(2 ${CLI} query ${graph} --vertex=5 --backend=auto
             --index=${index})
-expect_code(2 ${CLI} preprocess ${graph} --index=${WORK_DIR}/x.idx
-            --backend=exact)
+expect_code(2 ${CLI} query ${graph} --vertex=5 --backend=exact
+            --index=${index})
 expect_code(2 ${CLI} allpairs ${graph} --out=${WORK_DIR}/x.tsv
-            --backend=sling)
+            --backend=exact)
 
 # IO errors -> 3.
 expect_code(3 ${CLI} stats ${WORK_DIR}/does_not_exist.bin)

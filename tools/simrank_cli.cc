@@ -68,11 +68,9 @@ int Usage() {
                "  stats      GRAPH\n"
                "  preprocess GRAPH --index=PATH [--estimate-diagonal]\n"
                "             [--decay=0.6] [--steps=11]\n"
-               "             [--backend=auto|mc|sling] [--precision=1e-4]\n"
                "  query      GRAPH --vertex=V [--index=PATH] [--k=20]\n"
                "             [--threshold=0.01] [--estimate-diagonal]\n"
-               "             [--backend=auto|mc|sling|exact]\n"
-               "             [--precision=1e-4]\n"
+               "             [--backend=auto|mc|exact]\n"
                "             [--repeat=N] [--slow-log=SECONDS]\n"
                "             [--slow-log-capacity=16]\n"
                "             [--slo=p99:0.05,error_rate:0.01,...]\n"
@@ -115,20 +113,18 @@ SearchOptions OptionsFromFlags(const Flags& flags) {
   options.threshold = flags.GetDouble("threshold", options.threshold);
   options.seed = flags.GetInt("seed", options.seed);
   options.estimate_diagonal = flags.GetBool("estimate-diagonal");
-  options.sling.precision =
-      flags.GetDouble("precision", options.sling.precision);
   return options;
 }
 
 // The --backend grammar. The default is the paper's Monte-Carlo engine so
 // flagless invocations behave exactly as they did before backends existed;
-// --backend=auto opts into stat-driven selection.
+// --backend=auto opts into SelectBackend's size rule.
 Result<BackendChoice> BackendFromFlags(const Flags& flags) {
   const std::string name = flags.GetString("backend", "mc");
   const std::optional<BackendChoice> choice = ParseBackendChoice(name);
   if (!choice.has_value()) {
     return Status::InvalidArgument(
-        "--backend: expected auto, mc, sling or exact; got '" + name + "'");
+        "--backend: expected auto, mc or exact; got '" + name + "'");
   }
   return *choice;
 }
@@ -193,37 +189,27 @@ int CmdPreprocess(const Flags& flags) {
   if (flags.positional().empty()) return Usage();
   const std::string index_path = flags.GetString("index");
   if (index_path.empty()) return Fail("--index is required");
-  auto choice = BackendFromFlags(flags);
-  if (!choice.ok()) return Fail(choice.status());
   auto graph = LoadGraph(flags.positional()[0]);
   if (!graph.ok()) return Fail(graph.status());
   const SearchOptions options = OptionsFromFlags(flags);
   const Status valid = options.Validate();
   if (!valid.ok()) return Fail(valid);
-  const BackendKind kind = *choice == BackendChoice::kAuto
-                               ? SelectBackend(ComputeGraphStats(*graph))
-                               : static_cast<BackendKind>(*choice);
-  std::unique_ptr<SearcherBackend> backend = MakeBackend(kind, *graph, options);
-  if (!backend->capabilities().serializable) {
-    return Fail(Status::InvalidArgument(
-        std::string("backend '") + std::string(backend->name()) +
-        "' has no index to preprocess; use mc or sling"));
-  }
+  TopKSearcher searcher(*graph, options);
   WallTimer timer;
-  backend->Build();
-  std::printf("preprocess [%s]: %s (index %s)\n",
-              std::string(backend->name()).c_str(),
+  searcher.BuildIndex();
+  std::printf("preprocess [mc]: %s (index %s)\n",
               FormatDuration(timer.ElapsedSeconds()).c_str(),
-              FormatBytes(backend->MemoryBytes()).c_str());
-  const Status status = SaveBackendIndex(*backend, index_path);
+              FormatBytes(searcher.PreprocessBytes()).c_str());
+  const Status status = SaveSearcherIndex(searcher, index_path);
   if (!status.ok()) return Fail(status);
   std::printf("index written to %s\n", index_path.c_str());
   return 0;
 }
 
-// Stands up the serving engine over a graph, either adopting a backend
-// restored from --index or building the preprocess from scratch. Invalid
-// flag combinations come back as a Status, never an abort.
+// Stands up the serving engine over a graph, either adopting the
+// Monte-Carlo index restored from --index or building the preprocess from
+// scratch. Invalid flag combinations come back as a Status, never an
+// abort.
 Result<std::unique_ptr<service::QueryEngine>> MakeEngine(
     const DirectedGraph& graph, const Flags& flags,
     service::EngineOptions options) {
@@ -235,18 +221,18 @@ Result<std::unique_ptr<service::QueryEngine>> MakeEngine(
       static_cast<uint32_t>(flags.GetInt("threads", options.num_threads));
   const std::string index_path = flags.GetString("index");
   if (!index_path.empty()) {
-    // A serialized index is backend-specific, so auto-selection cannot
-    // apply; the flag must name the kind the file was built with.
-    if (*backend == BackendChoice::kAuto) {
+    // Only the Monte-Carlo backend persists an index, so --index implies
+    // mc and rules out auto-selection.
+    if (*backend != BackendChoice::kMonteCarlo) {
       return Status::InvalidArgument(
-          "--backend=auto cannot load --index; name the backend the index "
-          "was built with (mc or sling)");
+          "--index holds a Monte-Carlo index; it cannot serve --backend=" +
+          std::string(BackendChoiceName(*backend)));
     }
-    auto loaded = LoadBackendIndex(static_cast<BackendKind>(*backend), graph,
-                                   options.search, index_path);
+    auto loaded = LoadSearcherIndex(graph, options.search, index_path);
     if (!loaded.ok()) return loaded.status();
-    return service::QueryEngine::AdoptBackend(std::move(*loaded),
-                                              std::move(options));
+    return service::QueryEngine::AdoptBackend(
+        std::make_unique<MonteCarloBackend>(std::move(*loaded)),
+        std::move(options));
   }
   return service::QueryEngine::Create(graph, std::move(options));
 }

@@ -14,7 +14,7 @@
 //   --zipf --universe --mix=topk:pair:group:background --group-size
 //   --clients --seed --prewarm --deadline (interactive, seconds)
 // Engine:   --threads --k --threshold --walks-estimate --walks-refine
-//   --backend=mc|sling|exact|auto --cache-capacity --slo=<spec>
+//   --backend=mc|exact|auto --cache-capacity --slo=<spec>
 // Admission: --interactive-queue --batch-queue --degrade-watermark
 //   --client-rate --client-burst --target-p99 --breach-steps
 //   --recover-steps
@@ -251,7 +251,7 @@ int Run(int argc, char** argv) {
   const std::string backend = flags.GetString("backend", "mc");
   const std::optional<BackendChoice> choice = ParseBackendChoice(backend);
   if (!choice.has_value()) {
-    return Fail("--backend: expected auto, mc, sling or exact; got '" +
+    return Fail("--backend: expected auto, mc or exact; got '" +
                 backend + "'");
   }
   engine_options.backend = *choice;

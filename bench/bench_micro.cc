@@ -57,33 +57,11 @@ const DirectedGraph& BenchGraph() {
         1024, static_cast<uint64_t>(std::llround(300000.0 * g_bench_scale)));
     Rng rng(42);
     auto* g = new DirectedGraph(MakeRmat(bits, edges, rng));
-    // Layout gauges: the plain walk working set vs what the compressed
-    // overlay would occupy. Both land in the bench JSON's metrics block,
-    // so layout-size regressions show up next to the timing regressions.
+    // The CSR footprint lands in the bench JSON's metrics block, so
+    // graph-size regressions show up next to the timing regressions.
     obs::MetricsRegistry::Default()
         .GetGauge("graph.bytes")
-        .Set(static_cast<int64_t>(g->WalkWorkingSetBytes()));
-    return g;
-  }();
-  return *graph;
-}
-
-// The same corpus under the hybrid compressed layout and the batched
-// (non-resident) kernel: the A/B counterpart of BenchGraph for the
-// BM_*Compressed cases. At bench scale the stats policy would keep the
-// graph uncompressed and resident, so the compressed cases pin the layout
-// big graphs get — low-degree rows varint-inline at the default cutoff,
-// hub rows escaped to plain element access.
-const DirectedGraph& CompressedBenchGraph() {
-  static const DirectedGraph* graph = [] {
-    auto* g = new DirectedGraph(BenchGraph());
-    WalkLayoutOptions options;
-    options.inline_cutoff = WalkLayoutOptions::kDefaultInlineCutoff;
-    options.resident_bytes = 0;  // prefetching kernel path
-    g->SetWalkLayout(options);
-    obs::MetricsRegistry::Default()
-        .GetGauge("graph.compressed.bytes")
-        .Set(static_cast<int64_t>(g->WalkWorkingSetBytes()));
+        .Set(static_cast<int64_t>(g->MemoryBytes()));
     return g;
   }();
   return *graph;
@@ -106,28 +84,6 @@ void BM_WalkAdvance(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_WalkAdvance)->Arg(10)->Arg(100)->Arg(1000);
-
-// A/B twin of BM_WalkAdvance on the varint-compressed layout (registered
-// adjacent so the pair runs back to back under the same machine
-// conditions). The delta between the pair is the decode cost the hybrid
-// policy weighs against the working-set shrink.
-void BM_WalkAdvanceCompressed(benchmark::State& state) {
-  const DirectedGraph& graph = CompressedBenchGraph();
-  Rng rng(1);
-  auto walks = std::make_unique<WalkSet>(
-      graph, 1, static_cast<uint32_t>(state.range(0)));
-  for (auto _ : state) {
-    walks->Advance(rng);
-    if (walks->AllDead()) {
-      state.PauseTiming();
-      walks = std::make_unique<WalkSet>(
-          graph, 1, static_cast<uint32_t>(state.range(0)));
-      state.ResumeTiming();
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_WalkAdvanceCompressed)->Arg(10)->Arg(100)->Arg(1000);
 
 void BM_WalkCounter(benchmark::State& state) {
   Rng rng(2);
@@ -157,9 +113,9 @@ void BM_MonteCarloSinglePair(benchmark::State& state) {
 BENCHMARK(BM_MonteCarloSinglePair)->Arg(10)->Arg(100)->Arg(1000);
 
 // Profile construction is the per-query preprocessing step: num_walks
-// walks advanced num_steps times through the batched kernel, with a
-// counter snapshot per step. Tracks the kernel's 3-pass stepping + the
-// dead-tail truncation (empty_from_).
+// walks advanced num_steps times through the walk kernel, with a counter
+// snapshot per step. Tracks the fused stepping loop, the per-step
+// AddAllPresized count and the dead-tail truncation (empty_from_).
 void BM_ProfileBuild(benchmark::State& state) {
   const DirectedGraph& graph = BenchGraph();
   SimRankParams params;
@@ -175,26 +131,6 @@ void BM_ProfileBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ProfileBuild)->Arg(100)->Arg(1000);
-
-// A/B twin of BM_ProfileBuild on the compressed layout: profile
-// construction is the per-query walk workload end to end (kernel + fused
-// counting), so this pair bounds the end-to-end query cost of flipping
-// the layout policy.
-void BM_ProfileBuildCompressed(benchmark::State& state) {
-  const DirectedGraph& graph = CompressedBenchGraph();
-  SimRankParams params;
-  MonteCarloSimRank mc(graph, params,
-                       UniformDiagonal(graph.NumVertices(), params.decay));
-  Rng rng(12);
-  Vertex v = 0;
-  for (auto _ : state) {
-    v = (v + 37) % graph.NumVertices();
-    benchmark::DoNotOptimize(
-        mc.BuildProfile(v, static_cast<uint32_t>(state.range(0)), rng));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ProfileBuildCompressed)->Arg(100)->Arg(1000);
 
 void BM_ProfileEstimate(benchmark::State& state) {
   const DirectedGraph& graph = BenchGraph();
@@ -304,36 +240,6 @@ void RunTopKQuery(benchmark::State& state) {
 // query.latency_ns histogram are live.
 void BM_TopKQuery(benchmark::State& state) { RunTopKQuery(state); }
 BENCHMARK(BM_TopKQuery);
-
-// Same rotating queries through the deterministic fan-out path
-// (parallel_candidates = Arg). Arg(1) runs the fan-out algorithm inline
-// (no pool) — it isolates the algorithmic delta of the parallel path;
-// larger args add worker threads. On a single hardware core the
-// multi-thread variants measure overhead, not speedup; EXPERIMENTS.md
-// records them for context only.
-void BM_TopKQueryParallel(benchmark::State& state) {
-  static const TopKSearcher* searchers[3] = {nullptr, nullptr, nullptr};
-  const int slot = state.range(0) == 1 ? 0 : state.range(0) == 2 ? 1 : 2;
-  if (searchers[slot] == nullptr) {
-    SearchOptions options;
-    options.parallel_candidates = static_cast<uint32_t>(state.range(0));
-    auto* s = new TopKSearcher(BenchGraph(), options);
-    s->BuildIndex();
-    searchers[slot] = s;
-  }
-  const TopKSearcher& searcher = *searchers[slot];
-  const std::vector<Vertex>& queries = BenchQueryVertices();
-  QueryWorkspace workspace(searcher);
-  size_t i = 0;
-  for (auto _ : state) {
-    const QueryResult result =
-        searcher.Query(queries[i % queries.size()], workspace);
-    benchmark::DoNotOptimize(result.top.size());
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TopKQueryParallel)->Arg(1)->Arg(2)->Arg(4);
 
 // Baseline: obs disabled for the duration — measures the library without
 // instrumentation. EXPERIMENTS.md tracks BM_TopKQuery vs this (must stay

@@ -36,28 +36,6 @@ DirectedGraph::DirectedGraph(Vertex num_vertices, std::span<const Edge> edges)
     : num_vertices_(num_vertices) {
   BuildCsr(num_vertices, edges, /*reverse=*/false, out_offsets_, out_targets_);
   BuildCsr(num_vertices, edges, /*reverse=*/true, in_offsets_, in_targets_);
-  BuildWalkLayout(WalkLayoutOptions::FromStats(num_vertices, NumEdges()));
-}
-
-void DirectedGraph::SetWalkLayout(const WalkLayoutOptions& options) {
-  BuildWalkLayout(options);
-}
-
-void DirectedGraph::BuildWalkLayout(const WalkLayoutOptions& options) {
-  walk_options_ = options;
-  if (CompressedInCsr::Supported(num_vertices_, NumEdges())) {
-    in_compressed_ = CompressedInCsr(in_offsets_.data(), in_targets_.data(),
-                                     num_vertices_, options);
-  } else {
-    in_compressed_ = CompressedInCsr();
-  }
-  walk_resident_ = WalkWorkingSetBytes() <= options.resident_bytes;
-}
-
-uint64_t DirectedGraph::WalkWorkingSetBytes() const {
-  if (!in_compressed_.empty()) return in_compressed_.WorkingSetBytes();
-  return in_offsets_.size() * sizeof(uint64_t) +
-         in_targets_.size() * sizeof(Vertex);
 }
 
 bool DirectedGraph::HasEdge(Vertex u, Vertex v) const {

@@ -5,7 +5,6 @@
 #include <span>
 #include <vector>
 
-#include "graph/compressed.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -17,29 +16,6 @@ using Vertex = uint32_t;
 
 /// Sentinel for "no vertex" (dead random walk, unreachable BFS target).
 inline constexpr Vertex kNoVertex = static_cast<Vertex>(-1);
-
-/// The walk kernel's view of a graph's in-adjacency: either the hybrid
-/// compressed cell layout (graph/compressed.h) or the wide uint64 CSR
-/// fallback, plus the residency flag that selects between the
-/// prefetch-free fused kernel and the prefetch-sweep kernel. Obtained
-/// via DirectedGraph::walk_view() — the single accessor every walk
-/// consumer (searcher, index build, Fogaras–Rácz, bounds, surfer-pair)
-/// reaches the layout through.
-struct WalkView {
-  /// Narrow cell layout; null when the graph exceeds the narrow-layout
-  /// limits and the kernel must use offsets/targets directly.
-  const CompressedInCsr::Cell* cells = nullptr;
-  /// Varint pool for inline rows (null/unused when none exist).
-  const uint8_t* pool = nullptr;
-  /// True when at least one row is inline-compressed.
-  bool has_inline = false;
-  /// True when the working set is small enough that prefetch sweeps cost
-  /// more than the cache misses they would hide.
-  bool resident = true;
-  /// Always-valid plain in-CSR arrays (escape rows, wide fallback).
-  const uint64_t* offsets = nullptr;
-  const Vertex* targets = nullptr;
-};
 
 /// A directed edge (from -> to).
 struct Edge {
@@ -103,45 +79,11 @@ class DirectedGraph {
     return nbrs[rng.UniformIndex(static_cast<uint32_t>(nbrs.size()))];
   }
 
-  /// Raw in-CSR arrays for the batched walk kernel (simrank/walk_kernel.h):
-  /// offsets has n+1 entries, targets has m. The kernel needs the arrays
-  /// directly so it can software-prefetch the offset row and neighbor slab
-  /// of upcoming walks while resolving the current one — span-per-vertex
-  /// accessors would re-derive both pointers per step.
+  /// Raw in-CSR arrays for the walk kernel (simrank/walk_kernel.h):
+  /// offsets has n+1 entries, targets has m. The kernel's fused loop reads
+  /// them directly instead of building a span per step.
   const uint64_t* InOffsetsData() const { return in_offsets_.data(); }
   const Vertex* InTargetsData() const { return in_targets_.data(); }
-
-  /// The walk kernel's layout view (see WalkView). Built at construction
-  /// under the stats-driven WalkLayoutOptions::FromStats policy;
-  /// SetWalkLayout rebuilds it under an explicit policy.
-  WalkView walk_view() const {
-    WalkView view;
-    view.offsets = in_offsets_.data();
-    view.targets = in_targets_.data();
-    if (!in_compressed_.empty()) {
-      view.cells = in_compressed_.cells();
-      view.pool = in_compressed_.pool();
-      view.has_inline = in_compressed_.has_inline_rows();
-    }
-    view.resident = walk_resident_;
-    return view;
-  }
-
-  /// Rebuilds the walk layout under `options` (benches/tests forcing a
-  /// specific layout; services tuning for their cache budget). Not
-  /// thread-safe against concurrent walks — call before serving.
-  void SetWalkLayout(const WalkLayoutOptions& options);
-
-  /// The options the current walk layout was built under.
-  const WalkLayoutOptions& walk_layout() const { return walk_options_; }
-
-  /// The compressed overlay (empty when the wide fallback is active).
-  const CompressedInCsr& in_compressed() const { return in_compressed_; }
-
-  /// Bytes the walk hot loop touches under the current layout; the
-  /// "graph.compressed.bytes" gauge next to MemoryBytes()'s plain
-  /// "graph.bytes".
-  uint64_t WalkWorkingSetBytes() const;
 
   /// Materializes the edge list (ordered by source, then target).
   std::vector<Edge> Edges() const;
@@ -151,16 +93,11 @@ class DirectedGraph {
   uint64_t MemoryBytes() const;
 
  private:
-  void BuildWalkLayout(const WalkLayoutOptions& options);
-
   Vertex num_vertices_;
   std::vector<uint64_t> out_offsets_;  // size n+1
   std::vector<Vertex> out_targets_;    // size m, sorted per vertex
   std::vector<uint64_t> in_offsets_;   // size n+1
   std::vector<Vertex> in_targets_;     // size m, sorted per vertex
-  CompressedInCsr in_compressed_;      // empty iff wide fallback
-  WalkLayoutOptions walk_options_;
-  bool walk_resident_ = true;
 };
 
 }  // namespace simrank

@@ -7,7 +7,6 @@
 #include "util/check.h"
 #include "util/counter.h"
 #include "util/fault_injection.h"
-#include "util/hugepage.h"
 
 namespace simrank::obs {
 
@@ -116,9 +115,6 @@ MetricsRegistry::MetricsRegistry() {
   });
   RegisterCallbackGauge("util.arena.steady_state_allocs", [] {
     return static_cast<int64_t>(Arena::TotalSteadyStateAllocs());
-  });
-  RegisterCallbackGauge("util.hugepage.bytes", [] {
-    return static_cast<int64_t>(HugePageBytesMapped());
   });
 }
 

@@ -22,7 +22,7 @@ FogarasRaczIndex::FogarasRaczIndex(const DirectedGraph& graph,
   WallTimer timer;
   next_.resize(static_cast<size_t>(num_fingerprints_) * num_steps_ * n_);
   // One deterministic stream per (sample, step) slice so builds are
-  // reproducible under any thread count. Each slice is one bulk
+  // reproducible under any thread count. Each slice is one
   // SampleInNeighbors pass over the identity row (one draw per vertex with
   // in-links, in vertex order — the same stream the scalar loop consumed).
   std::vector<Vertex> identity(n_);

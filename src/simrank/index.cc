@@ -14,7 +14,7 @@ namespace {
 // Runs Algorithm 4 for one vertex: appends the pivot positions selected by
 // witness-walk collisions to `out` (unsorted, may contain duplicates).
 //
-// All P repetitions advance together through the batched kernel: one pivot
+// All P repetitions advance together through the walk kernel: one pivot
 // walk per repetition plus a Q-wide witness block per repetition, slots
 // preserved (StepWalksInPlace) so each witness stays keyed to its
 // repetition. A collision at step t — two of a repetition's witnesses on

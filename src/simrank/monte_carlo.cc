@@ -47,9 +47,10 @@ void WalkSet::Advance(Rng& rng) {
 }
 
 uint32_t WalkSet::AdvanceCounted(Rng& rng, WalkCounter& counter) {
-  live_count_ =
-      AdvanceWalksCompactCounted(graph_, {positions_.data(), positions_.size()},
-                                 live_count_, rng, counter);
+  Advance(rng);
+  // Swap-compaction leaves the survivors in the live() prefix, so one
+  // contiguous 16-lane pass counts them; presized, so it never grows.
+  counter.AddAllPresized(live());
   return live_count_;
 }
 
@@ -63,10 +64,9 @@ WalkProfile::WalkProfile(const DirectedGraph& graph,
   steps_.reserve(num_steps_);
   WalkSet walks(graph, origin, num_walks, arena);
   // Step 0 is counted directly (all walks sit at the origin); every later
-  // step's counting is fused into the kernel's gather pass. Sizing the
-  // step-t counter by the step-(t-1) live count over-provisions slightly
-  // for shrinking populations but guarantees the kernel's no-growth
-  // capacity contract.
+  // step is counted by AdvanceCounted. Sizing the step-t counter by the
+  // step-(t-1) live count over-provisions slightly for shrinking
+  // populations but guarantees AddAllPresized's no-growth contract.
   // Step 0 holds a single distinct key, so a minimal table suffices.
   WalkCounter first(1, arena);
   first.AddCount(origin, walks.live_count());

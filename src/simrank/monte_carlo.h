@@ -17,7 +17,7 @@ namespace simrank {
 /// a vertex without in-links die (position kNoVertex) — their P-column is
 /// zero.
 ///
-/// Advance runs on the batched kernel (simrank/walk_kernel.h): dead walks
+/// Advance runs on the walk kernel (simrank/walk_kernel.h): dead walks
 /// are swap-compacted behind the live prefix, so stepping and scoring loop
 /// over live() and never rescan tombstones.
 class WalkSet {
@@ -31,11 +31,10 @@ class WalkSet {
   /// Advances every live walk one step (uniform random in-neighbor).
   void Advance(Rng& rng);
 
-  /// Advance that also tallies every post-step position into `counter`
-  /// (exactly counter.AddAll(live()) run after Advance, but fused into the
-  /// kernel's gather pass so the counting hides under the step's cache
-  /// misses). `counter` must be presized for at least live_count() distinct
-  /// keys. Returns the new live count.
+  /// Advance, then tally every surviving position into `counter` with
+  /// AddAllPresized (counts and ForEach order exactly as
+  /// counter.AddAll(live())). `counter` must be presized for at least the
+  /// pre-step live_count() distinct keys. Returns the new live count.
   uint32_t AdvanceCounted(Rng& rng, WalkCounter& counter);
 
   /// Current positions; dead walks report kNoVertex. Live walks occupy the

@@ -15,7 +15,7 @@ double SurferPairSimRank(const DirectedGraph& graph, Vertex u, Vertex v,
   SIMRANK_CHECK_LT(u, graph.NumVertices());
   SIMRANK_CHECK_LT(v, graph.NumVertices());
   if (u == v) return 1.0;
-  // All trials' coupled pairs advance in lock-step through the batched
+  // All trials' coupled pairs advance in lock-step through the walk
   // kernel: step every a-walk, step every b-walk, then resolve trials whose
   // pair met (contributes c^t) or died (contributes 0), compacting the
   // unresolved pairs to the front so later steps only touch them.

@@ -1,8 +1,6 @@
 #include "simrank/top_k_searcher.h"
 
 #include <algorithm>
-#include <atomic>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -145,12 +143,6 @@ Status McTuning::Validate() const {
         "adaptive_margin must be in (0, 1], got " +
         std::to_string(adaptive_margin));
   }
-  if (parallel_candidates > kMaxParallelCandidates) {
-    return Status::InvalidArgument(
-        "parallel_candidates must be <= " +
-        std::to_string(kMaxParallelCandidates) + ", got " +
-        std::to_string(parallel_candidates));
-  }
   return Status::OK();
 }
 
@@ -185,13 +177,8 @@ TopKSearcher::TopKSearcher(const DirectedGraph& graph, SearchOptions options,
   SIMRANK_CHECK_GE(options_.refine_walks, 1u);
   SIMRANK_CHECK_GE(options_.estimate_walks, 1u);
   SIMRANK_CHECK_GE(options_.profile_walks, 1u);
-  SIMRANK_CHECK_LE(options_.parallel_candidates,
-                   SearchOptions::kMaxParallelCandidates);
   estimator_ = std::make_unique<MonteCarloSimRank>(graph, options_.simrank,
                                                    diagonal_);
-  if (options_.parallel_candidates > 1) {
-    intra_pool_ = std::make_unique<ThreadPool>(options_.parallel_candidates);
-  }
 }
 
 void TopKSearcher::BuildIndex(ThreadPool* pool) {
@@ -373,15 +360,6 @@ QueryResult TopKSearcher::Query(Vertex query, QueryWorkspace& workspace,
 
   TopKCollector collector(k);
 
-  if (options_.parallel_candidates > 0) {
-    EvaluateCandidatesParallel(query, workspace, profile, beta, k, threshold,
-                               refine_walks, stats, collector);
-    result.top = collector.TakeSorted();
-    stats.seconds = timer.ElapsedSeconds();
-    FlushQueryMetrics(stats, refine_walks, options_);
-    return result;
-  }
-
   auto cutoff = [&]() { return std::max(threshold, collector.Threshold()); };
 
   auto consider = [&](Vertex v) {
@@ -444,107 +422,6 @@ QueryResult TopKSearcher::Query(Vertex query, QueryWorkspace& workspace,
   stats.seconds = timer.ElapsedSeconds();
   FlushQueryMetrics(stats, refine_walks, options_);
   return result;
-}
-
-void TopKSearcher::EvaluateCandidatesParallel(
-    Vertex query, QueryWorkspace& workspace, const WalkProfile& profile,
-    const std::vector<double>& beta, uint32_t k, double threshold,
-    uint32_t refine_walks, QueryStats& stats, TopKCollector& collector) const {
-  const SimRankParams& params = options_.simrank;
-  // Phase 1 (serial): enumerate and bound-prune. Unlike the serial path,
-  // pruning uses the static threshold only — the evolving collector cutoff
-  // depends on the order candidates finish, which a deterministic fan-out
-  // cannot reproduce.
-  std::vector<Vertex> survivors;
-  auto consider = [&](Vertex v) {
-    if (v == query) return;
-    ++stats.candidates_enumerated;
-    const uint32_t distance = workspace.bfs_.Distance(v);
-    if (distance == kInfiniteDistance || distance > options_.max_distance) {
-      ++stats.pruned_by_distance;
-      return;
-    }
-    if (options_.use_distance_bound &&
-        DistanceBound(params.decay, distance) < threshold) {
-      ++stats.pruned_by_distance;
-      return;
-    }
-    if (options_.use_l1_bound && beta[distance] < threshold) {
-      ++stats.pruned_by_l1;
-      return;
-    }
-    if (options_.use_l2_bound &&
-        gamma_->BoundAtDistance(query, v, distance) < threshold) {
-      ++stats.pruned_by_l2;
-      return;
-    }
-    survivors.push_back(v);
-  };
-  {
-    obs::ScopedSpan span("candidate_enumeration");
-    if (options_.use_index) {
-      index_->ForEachCandidate(query, workspace.marks_, workspace.epoch_,
-                               consider);
-    } else {
-      for (Vertex v : workspace.bfs_.Reached()) consider(v);
-    }
-  }
-
-  // Seeding contract (see docs/PERFORMANCE.md): candidate v is scored from
-  // streams derived only from (query seed, v) — stream 2v for the rough
-  // pass, 2v + 1 for the refinement — so every estimate is independent of
-  // scheduling, thread count and candidate order.
-  const uint64_t cand_base = MixSeeds(options_.seed, 0x5EEDBA5EULL + query);
-  ThreadPool* pool = intra_pool_.get();
-  std::vector<uint8_t> refine(survivors.size(), 1);
-  if (options_.adaptive_sampling) {
-    obs::ScopedSpan span("rough_estimate");
-    std::vector<double> rough(survivors.size());
-    ParallelFor(pool, 0, survivors.size(), [&](size_t i) {
-      const Vertex v = survivors[i];
-      Rng rng(MixSeeds(cand_base, 2ull * v));
-      rough[i] = estimator_->EstimateAgainstProfile(profile, v,
-                                                    options_.estimate_walks,
-                                                    rng);
-    });
-    stats.rough_estimates += survivors.size();
-    // Deterministic analog of the serial path's evolving cutoff: with all
-    // rough estimates in hand, the k-th largest stands in for the k-th
-    // refined score the collector would have converged to.
-    double kth = 0.0;
-    if (survivors.size() >= k) {
-      std::vector<double> sorted(rough);
-      std::nth_element(sorted.begin(), sorted.begin() + (k - 1), sorted.end(),
-                       std::greater<>());
-      kth = sorted[k - 1];
-    }
-    const double margin_cutoff =
-        options_.adaptive_margin * std::max(threshold, kth);
-    for (size_t i = 0; i < survivors.size(); ++i) {
-      if (rough[i] < margin_cutoff) {
-        refine[i] = 0;
-        ++stats.skipped_after_estimate;
-      }
-    }
-  }
-  std::vector<double> scores(survivors.size(), 0.0);
-  {
-    obs::ScopedSpan span("refine");
-    ParallelFor(pool, 0, survivors.size(), [&](size_t i) {
-      if (refine[i] == 0) return;
-      const Vertex v = survivors[i];
-      Rng rng(MixSeeds(cand_base, 2ull * v + 1));
-      scores[i] =
-          estimator_->EstimateAgainstProfile(profile, v, refine_walks, rng);
-    });
-  }
-  // Phase 3 (serial): fill the collector in enumeration order, so tied
-  // scores break identically for any thread count.
-  for (size_t i = 0; i < survivors.size(); ++i) {
-    if (refine[i] == 0) continue;
-    ++stats.refined;
-    if (scores[i] >= threshold) collector.Push(survivors[i], scores[i]);
-  }
 }
 
 QueryResult TopKSearcher::QueryGroup(std::span<const Vertex> group,

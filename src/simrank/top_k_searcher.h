@@ -77,22 +77,6 @@ struct McTuning {
   /// absorbs the noise of the small-R pass.
   double adaptive_margin = 0.3;
 
-  /// Intra-query parallelism. 0 (default) keeps the serial candidate loop:
-  /// one RNG stream threaded through the candidates in enumeration order,
-  /// with the adaptive cutoff evolving as the collector fills — the exact
-  /// path the engine-vs-kernel golden tests pin down. N >= 1 switches to
-  /// the deterministic fan-out path: every surviving candidate is scored
-  /// with its own (query-seed, candidate)-derived streams, the rough pass
-  /// and the refinement each run as one ParallelFor over an internal pool
-  /// of N threads (N == 1 runs inline), and the adaptive cutoff is fixed
-  /// at the k-th largest rough estimate. Results are bit-identical for any
-  /// N >= 1 — only wall-clock changes — but differ from the serial path
-  /// (different streams, static cutoff). See docs/PERFORMANCE.md.
-  uint32_t parallel_candidates = 0;
-
-  /// Upper bound Validate() enforces on parallel_candidates.
-  static constexpr uint32_t kMaxParallelCandidates = 256;
-
   /// Range-checks every field, returning InvalidArgument naming the
   /// offending field.
   Status Validate() const;
@@ -210,12 +194,10 @@ class QueryWorkspace {
   /// Lazily sized score accumulator for QueryGroup.
   std::vector<double> group_votes_;
   /// Per-query bump arena backing the walk profile's tables, the L1-bound
-  /// walk scratch and the serial-path candidate walks. Reset at the start
-  /// of every Query, so a recycled workspace reaches its high-water mark
-  /// on the first query and allocates nothing afterwards (the
-  /// util.arena.steady_state_allocs gauge stays zero). The parallel
-  /// candidate path does not use it: an Arena is single-threaded by
-  /// contract, so pool threads keep their heap-backed scratch.
+  /// walk scratch and the candidate walks. Reset at the start of every
+  /// Query, so a recycled workspace reaches its high-water mark on the
+  /// first query and allocates nothing afterwards (the
+  /// util.arena.steady_state_allocs gauge stays zero).
   Arena arena_;
 };
 
@@ -308,17 +290,6 @@ class TopKSearcher {
   std::unique_ptr<QueryWorkspace> AcquireWorkspace() const;
   void ReleaseWorkspace(std::unique_ptr<QueryWorkspace> workspace) const;
 
-  /// The fan-out path behind options_.parallel_candidates >= 1: serial
-  /// bound pruning collects the survivors, then the rough and refine
-  /// passes each ParallelFor over intra_pool_ with per-candidate streams,
-  /// and the collector is filled serially in enumeration order.
-  void EvaluateCandidatesParallel(Vertex query, QueryWorkspace& workspace,
-                                  const WalkProfile& profile,
-                                  const std::vector<double>& beta, uint32_t k,
-                                  double threshold, uint32_t refine_walks,
-                                  QueryStats& stats,
-                                  TopKCollector& collector) const;
-
   const DirectedGraph& graph_;
   SearchOptions options_;
   std::vector<double> diagonal_;
@@ -327,11 +298,6 @@ class TopKSearcher {
   /// is set and no explicit diagonal was supplied).
   bool diagonal_pending_ = false;
   std::unique_ptr<MonteCarloSimRank> estimator_;
-  /// Owned pool for intra-query candidate fan-out; created only when
-  /// options_.parallel_candidates > 1. Deliberately separate from any
-  /// caller-supplied pool (service workers execute queries on pool tasks,
-  /// and ParallelFor must not run on the pool of its calling task).
-  std::unique_ptr<ThreadPool> intra_pool_;
   std::unique_ptr<GammaTable> gamma_;
   std::unique_ptr<CandidateIndex> index_;
   bool index_built_ = false;

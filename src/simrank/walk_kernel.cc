@@ -2,510 +2,85 @@
 
 #include <cstddef>
 
-#include "graph/compressed.h"
-#include "simrank/walk_kernel_simd.h"
-#include "util/simd.h"
-
 namespace simrank {
 
-namespace {
-
-inline void PrefetchRead(const void* address) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(address, /*rw=*/0, /*locality=*/1);
-#else
-  (void)address;
-#endif
-}
-
-using Cell = CompressedInCsr::Cell;
-
-// -------------------------------------------------------------------------
-// Resident fused path: narrow cells, working set fits the cache hierarchy.
+// Each loop below reads a vertex's offset row through `offsets + v` (both
+// bounds from one base address) and takes its in-degree as 32 bits, like
+// DirectedGraph::InDegree; checking that degree for zero first also lets
+// the compiler drop UniformIndex's bound check.
 //
-// When the cells + targets the walks touch are cache-resident, the batched
-// machinery below is pure overhead: the prefetch sweeps request lines that
-// are already present, and staging bases/bounds/draws through lane arrays
-// adds L1 traffic to loads that would hit anyway. A single fused loop —
-// one 8-byte cell load, one inline Lemire draw, one element load per walk
-// — measures ~1.5-1.9x faster at this scale (docs/PERFORMANCE.md).
-//
-// Draw-for-draw identical to every other path: one UniformIndex per
-// surviving walk, in slot order.
-// -------------------------------------------------------------------------
+// Every loop draws through a local copy of the generator: with the state
+// behind the caller's reference, the compiler must round-trip all four
+// xoshiro words through memory every iteration (the position stores could
+// alias it), which puts a store-forward on the serial draw chain — the
+// critical path of the loop.
 
-template <bool kHasInline>
-inline uint32_t AdvanceCompactResidentLoop(const WalkView& view,
-                                           Vertex* positions, uint32_t live,
-                                           Rng& rng) {
-  const Cell* cells = view.cells;
-  const Vertex* targets = view.targets;
-  const uint8_t* pool = view.pool;
-  // The generator runs in a local copy for the duration of the loop: with
-  // the state behind the caller's reference, the compiler must round-trip
-  // all four xoshiro words through memory every iteration (the position
-  // stores could alias it), which puts a store-forward on the serial draw
-  // chain — the critical path of this loop.
+uint32_t AdvanceWalksCompact(const DirectedGraph& graph,
+                             std::span<Vertex> positions, uint32_t live,
+                             Rng& rng) {
+  SIMRANK_CHECK_LE(live, positions.size());
+  const uint64_t* offsets = graph.InOffsetsData();
+  const Vertex* targets = graph.InTargetsData();
+  Vertex* slots = positions.data();
   Rng local_rng = rng;
   uint32_t i = 0;
   while (i < live) {
-    const Cell cell = cells[positions[i]];
-    const uint32_t degree = cell.meta >> 1;
+    const uint64_t* row = offsets + slots[i];
+    const auto degree = static_cast<uint32_t>(row[1] - row[0]);
     if (degree == 0) {
+      // The walk dies: the last live walk takes its slot and is stepped
+      // next.
       --live;
-      positions[i] = positions[live];
-      positions[live] = kNoVertex;
+      slots[i] = slots[live];
+      slots[live] = kNoVertex;
       continue;
     }
-    const uint32_t draw = local_rng.UniformIndex(degree);
-    const Vertex next = (kHasInline && (cell.meta & 1u) != 0)
-                            ? DecodeRowElement(pool + cell.base, draw)
-                            : targets[cell.base + draw];
-    positions[i] = next;
+    slots[i] = targets[row[0] + local_rng.UniformIndex(degree)];
     ++i;
   }
   rng = local_rng;
   return live;
 }
 
-template <bool kHasInline>
-inline uint32_t AdvanceCompactResident(const WalkView& view,
-                                       std::span<Vertex> positions,
-                                       uint32_t live, Rng& rng,
-                                       WalkCounter* counter) {
-  live = AdvanceCompactResidentLoop<kHasInline>(view, positions.data(), live,
-                                                rng);
-  // Count after the step rather than fused into it: swap-compaction leaves
-  // the survivors in the [0, live) prefix in slot order, so one contiguous
-  // 16-lane AddAllPresized pass replaces a per-walk scalar Add whose
-  // hash -> probe serial chain would otherwise dominate counted stepping.
-  // Capacity contract as in the batched path: the caller presized the
-  // counter for the pre-step live count, so this never grows.
-  if (counter != nullptr) {
-    counter->AddAllPresized({positions.data(), live});
-  }
-  return live;
-}
-
-// -------------------------------------------------------------------------
-// Batched prefetching path over narrow cells: working set exceeds cache.
-//
-// Same 3-pass structure as the wide fallback below, but pass 1 resolves a
-// row with a single 8-byte cell load instead of two adjacent uint64s, and
-// pass 3's gather routes through the AVX2 hardware gather when the layout
-// has no inline rows (escape bases are uint32 indexes into targets).
-// -------------------------------------------------------------------------
-
-inline uint32_t AdvanceCompactBatched(const WalkView& view,
-                                      std::span<Vertex> positions,
-                                      uint32_t live, Rng& rng,
-                                      WalkCounter* counter) {
-  const Cell* cells = view.cells;
-  const Vertex* targets = view.targets;
-  const uint8_t* pool = view.pool;
-  // Tiny populations can't amortize the batch machinery; the fused loop is
-  // draw-for-draw identical, so the cutoff is invisible to callers.
-  if (live <= 2 * kWalkPrefetchDistance) {
-    return view.has_inline
-               ? AdvanceCompactResident<true>(view, positions, live, rng,
-                                              counter)
-               : AdvanceCompactResident<false>(view, positions, live, rng,
-                                               counter);
-  }
-  uint32_t base[kWalkBatchSize];
-  uint32_t meta[kWalkBatchSize];
-  uint32_t bound[kWalkBatchSize];
-  uint32_t draw[kWalkBatchSize];
-  // Fused counting runs one block behind the gather (see the wide path).
-  uint32_t pending_start = 0;
-  uint32_t pending_lanes = 0;
-  const bool has_inline = view.has_inline;
-  const bool hw_gather = !has_inline && simd::UseAvx2();
-  uint32_t i = 0;
-  while (i < live) {
-    const uint32_t block_start = i;
-    uint32_t lanes = 0;
-    while (i < live && lanes < kWalkBatchSize) {
-      const uint32_t ahead = i + kWalkPrefetchDistance;
-      if (ahead < live) PrefetchRead(&cells[positions[ahead]]);
-      const Cell cell = cells[positions[i]];
-      const uint32_t degree = cell.meta >> 1;
-      if (degree == 0) {
-        --live;
-        positions[i] = positions[live];
-        positions[live] = kNoVertex;
-        continue;
-      }
-      base[lanes] = cell.base;
-      meta[lanes] = cell.meta;
-      bound[lanes] = degree;
-      ++lanes;
-      ++i;
-    }
-    if (lanes == 0) break;
-    rng.UniformIndexBatch({bound, lanes}, draw);
-    // Prefetch sweep: every lane's element miss in flight at once. Inline
-    // rows prefetch the varint bytes (the decode reads from base forward).
-    if (has_inline) {
-      for (uint32_t lane = 0; lane < lanes; ++lane) {
-        if ((meta[lane] & 1u) != 0) {
-          PrefetchRead(pool + base[lane]);
-        } else {
-          PrefetchRead(&targets[base[lane] + draw[lane]]);
-        }
-      }
-    } else {
-      for (uint32_t lane = 0; lane < lanes; ++lane) {
-        PrefetchRead(&targets[base[lane] + draw[lane]]);
-      }
-    }
-    if (counter != nullptr && pending_lanes > 0) {
-      counter->AddAllPresized(
-          {positions.data() + pending_start, pending_lanes});
-    }
-    if (hw_gather) {
-      internal::GatherWalkTargetsAvx2(targets, base, draw, lanes,
-                                      positions.data() + block_start);
-    } else if (has_inline) {
-      for (uint32_t lane = 0; lane < lanes; ++lane) {
-        positions[block_start + lane] =
-            ((meta[lane] & 1u) != 0)
-                ? DecodeRowElement(pool + base[lane], draw[lane])
-                : targets[base[lane] + draw[lane]];
-      }
-    } else {
-      for (uint32_t lane = 0; lane < lanes; ++lane) {
-        positions[block_start + lane] = targets[base[lane] + draw[lane]];
-      }
-    }
-    // Cross-step prefetch of the new positions' cells (see the wide path).
-    for (uint32_t lane = 0; lane < lanes; ++lane) {
-      PrefetchRead(&cells[positions[block_start + lane]]);
-    }
-    pending_start = block_start;
-    pending_lanes = lanes;
-  }
-  if (counter != nullptr && pending_lanes > 0) {
-    counter->AddAllPresized({positions.data() + pending_start, pending_lanes});
-  }
-  return live;
-}
-
-// -------------------------------------------------------------------------
-// Wide fallback: plain uint64 CSR, for graphs past the narrow-layout
-// limits (>2B edges). Kept verbatim as the determinism reference the
-// golden tests compare every other path against.
-// -------------------------------------------------------------------------
-
-inline uint32_t AdvanceCompactWide(const uint64_t* offsets,
-                                   const Vertex* targets,
-                                   std::span<Vertex> positions, uint32_t live,
-                                   Rng& rng, WalkCounter* counter) {
-  // Tiny populations can't amortize the batch machinery (stack lanes,
-  // prefetch sweeps): step them with the plain scalar loop. Draw-for-draw
-  // identical to the batched path — one UniformIndex per surviving walk in
-  // slot order — so the cutoff is invisible to callers.
-  if (live <= 2 * kWalkPrefetchDistance) {
-    uint32_t i = 0;
-    while (i < live) {
-      const Vertex p = positions[i];
-      const uint64_t lo = offsets[p];
-      const uint64_t hi = offsets[p + 1];
-      if (lo == hi) {
-        --live;
-        positions[i] = positions[live];
-        positions[live] = kNoVertex;
-        continue;
-      }
-      const Vertex next =
-          targets[lo + rng.UniformIndex(static_cast<uint32_t>(hi - lo))];
-      positions[i] = next;
-      if (counter != nullptr) counter->Add(next);
-      ++i;
-    }
-    return live;
-  }
-  uint64_t base[kWalkBatchSize];
-  uint32_t bound[kWalkBatchSize];
-  uint32_t draw[kWalkBatchSize];
-  // Fused counting runs one block behind the gather: block k's positions
-  // are tallied after block k+1's target prefetch sweep has been issued,
-  // so the L1-resident table probes execute while k+1's misses resolve
-  // (counting straight after k's own sweep would stall on those lines).
-  uint32_t pending_start = 0;
-  uint32_t pending_lanes = 0;
-  uint32_t i = 0;
-  while (i < live) {
-    // Pass 1: resolve in-offset rows for up to one batch of walks starting
-    // at slot i. A walk standing on an in-degree-0 vertex dies here: the
-    // last live walk is swapped into its slot (and re-resolved), so the
-    // batch lanes map to the contiguous slot range [block_start, i).
-    const uint32_t block_start = i;
-    uint32_t lanes = 0;
-    while (i < live && lanes < kWalkBatchSize) {
-      const uint32_t ahead = i + kWalkPrefetchDistance;
-      if (ahead < live) PrefetchRead(&offsets[positions[ahead]]);
-      const Vertex p = positions[i];
-      const uint64_t lo = offsets[p];
-      const uint64_t hi = offsets[p + 1];
-      if (lo == hi) {
-        --live;
-        positions[i] = positions[live];
-        positions[live] = kNoVertex;
-        continue;
-      }
-      base[lanes] = lo;
-      bound[lanes] = static_cast<uint32_t>(hi - lo);
-      ++lanes;
-      ++i;
-    }
-    if (lanes == 0) break;
-    // Pass 2: one bulk bounded draw per surviving walk, in slot order.
-    rng.UniformIndexBatch({bound, lanes}, draw);
-    // Pass 3: gather the new positions. All target addresses are known
-    // once the draws land, so a dedicated prefetch sweep first puts every
-    // lane's miss in flight at once (bounded by the LFBs, but far more
-    // memory-level parallelism than prefetching a fixed distance ahead
-    // inside the gather loop).
-    for (uint32_t lane = 0; lane < lanes; ++lane) {
-      PrefetchRead(&targets[base[lane] + draw[lane]]);
-    }
-    // Count the previous block while this block's prefetches land.
-    // Capacity contract: the caller presized the counter for `live`
-    // distinct keys, so per-block growth can never be needed.
-    if (counter != nullptr && pending_lanes > 0) {
-      counter->AddAllPresized({positions.data() + pending_start,
-                               pending_lanes});
-    }
-    for (uint32_t lane = 0; lane < lanes; ++lane) {
-      positions[block_start + lane] = targets[base[lane] + draw[lane]];
-    }
-    // Cross-step prefetch: the very next thing the caller's next Advance
-    // does with these positions is load their in-offset rows in pass 1.
-    // Requesting the rows now lets those misses resolve during the rest of
-    // this step (remaining blocks, the caller's per-step work) instead of
-    // stalling the next one. Multi-step loops — every WalkSet consumer —
-    // are the common case; for a final step the requests are merely wasted.
-    for (uint32_t lane = 0; lane < lanes; ++lane) {
-      PrefetchRead(&offsets[positions[block_start + lane]]);
-    }
-    pending_start = block_start;
-    pending_lanes = lanes;
-  }
-  if (counter != nullptr && pending_lanes > 0) {
-    counter->AddAllPresized({positions.data() + pending_start, pending_lanes});
-  }
-  return live;
-}
-
-// Routes one compact advance through the layout the graph was built with:
-// narrow cells take the fused loop when cache-resident and the batched
-// prefetching loop otherwise; graphs past the narrow limits fall back to
-// the wide path. All routes consume the identical draw stream.
-inline uint32_t AdvanceWalksCompactImpl(const DirectedGraph& graph,
-                                        std::span<Vertex> positions,
-                                        uint32_t live, Rng& rng,
-                                        WalkCounter* counter) {
-  SIMRANK_CHECK_LE(live, positions.size());
-  const WalkView view = graph.walk_view();
-  if (view.cells != nullptr) {
-    if (view.resident) {
-      return view.has_inline
-                 ? AdvanceCompactResident<true>(view, positions, live, rng,
-                                                counter)
-                 : AdvanceCompactResident<false>(view, positions, live, rng,
-                                                 counter);
-    }
-    return AdvanceCompactBatched(view, positions, live, rng, counter);
-  }
-  return AdvanceCompactWide(view.offsets, view.targets, positions, live, rng,
-                            counter);
-}
-
-}  // namespace
-
-uint32_t AdvanceWalksCompact(const DirectedGraph& graph,
-                             std::span<Vertex> positions, uint32_t live,
-                             Rng& rng) {
-  return AdvanceWalksCompactImpl(graph, positions, live, rng, nullptr);
-}
-
-uint32_t AdvanceWalksCompactCounted(const DirectedGraph& graph,
-                                    std::span<Vertex> positions, uint32_t live,
-                                    Rng& rng, WalkCounter& counter) {
-  return AdvanceWalksCompactImpl(graph, positions, live, rng, &counter);
-}
-
 uint32_t StepWalksInPlace(const DirectedGraph& graph,
                           std::span<Vertex> positions, Rng& rng) {
-  const WalkView view = graph.walk_view();
-  if (view.cells != nullptr) {
-    // Slot-preserving step over narrow cells. Fused like the resident
-    // compact path; for non-resident working sets a fixed-distance cell
-    // prefetch recovers most of the batched path's overlap without the
-    // lane bookkeeping (slot identity already forces per-slot stores).
-    const Cell* cells = view.cells;
-    const bool lookahead = !view.resident;
-    const size_t n = positions.size();
-    uint32_t alive = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (lookahead) {
-        const size_t ahead = i + kWalkPrefetchDistance;
-        if (ahead < n && positions[ahead] != kNoVertex) {
-          PrefetchRead(&cells[positions[ahead]]);
-        }
-      }
-      const Vertex p = positions[i];
-      if (p == kNoVertex) continue;
-      const Cell cell = cells[p];
-      const uint32_t degree = cell.meta >> 1;
-      if (degree == 0) {
-        positions[i] = kNoVertex;
-        continue;
-      }
-      const uint32_t draw = rng.UniformIndex(degree);
-      positions[i] = ((cell.meta & 1u) != 0)
-                         ? DecodeRowElement(view.pool + cell.base, draw)
-                         : view.targets[cell.base + draw];
-      ++alive;
-    }
-    return alive;
-  }
-  const uint64_t* offsets = view.offsets;
-  const Vertex* targets = view.targets;
-  uint64_t base[kWalkBatchSize];
-  uint32_t bound[kWalkBatchSize];
-  uint32_t draw[kWalkBatchSize];
-  uint32_t slot[kWalkBatchSize];
-  const size_t n = positions.size();
+  const uint64_t* offsets = graph.InOffsetsData();
+  const Vertex* targets = graph.InTargetsData();
+  Rng local_rng = rng;
   uint32_t alive = 0;
-  size_t i = 0;
-  while (i < n) {
-    // Pass 1 as in the wide compact path, but dead walks keep their slot
-    // (kNoVertex tombstone) and each lane remembers which slot it serves.
-    uint32_t lanes = 0;
-    while (i < n && lanes < kWalkBatchSize) {
-      const size_t ahead = i + kWalkPrefetchDistance;
-      if (ahead < n && positions[ahead] != kNoVertex) {
-        PrefetchRead(&offsets[positions[ahead]]);
-      }
-      const Vertex p = positions[i];
-      if (p == kNoVertex) {
-        ++i;
-        continue;
-      }
-      const uint64_t lo = offsets[p];
-      const uint64_t hi = offsets[p + 1];
-      if (lo == hi) {
-        positions[i] = kNoVertex;
-        ++i;
-        continue;
-      }
-      base[lanes] = lo;
-      bound[lanes] = static_cast<uint32_t>(hi - lo);
-      slot[lanes] = static_cast<uint32_t>(i);
-      ++lanes;
-      ++i;
+  for (Vertex& position : positions) {
+    if (position == kNoVertex) continue;
+    const uint64_t* row = offsets + position;
+    const auto degree = static_cast<uint32_t>(row[1] - row[0]);
+    if (degree == 0) {
+      position = kNoVertex;
+      continue;
     }
-    if (lanes == 0) continue;
-    rng.UniformIndexBatch({bound, lanes}, draw);
-    for (uint32_t lane = 0; lane < lanes; ++lane) {
-      PrefetchRead(&targets[base[lane] + draw[lane]]);
-    }
-    for (uint32_t lane = 0; lane < lanes; ++lane) {
-      positions[slot[lane]] = targets[base[lane] + draw[lane]];
-    }
-    // Cross-step prefetch of the new positions' offset rows (see
-    // AdvanceCompactWide).
-    for (uint32_t lane = 0; lane < lanes; ++lane) {
-      PrefetchRead(&offsets[positions[slot[lane]]]);
-    }
-    alive += lanes;
+    position = targets[row[0] + local_rng.UniformIndex(degree)];
+    ++alive;
   }
+  rng = local_rng;
   return alive;
 }
 
 void SampleInNeighbors(const DirectedGraph& graph,
                        std::span<const Vertex> vertices, Rng& rng,
                        Vertex* out) {
-  const WalkView view = graph.walk_view();
-  const size_t n = vertices.size();
-  if (view.cells != nullptr) {
-    // Fused single-draw sampling over narrow cells; safe under
-    // vertices == out because slot i is fully consumed before out[i] is
-    // written (the lookahead prefetch tolerates stale values).
-    const Cell* cells = view.cells;
-    const bool lookahead = !view.resident;
-    for (size_t i = 0; i < n; ++i) {
-      if (lookahead) {
-        const size_t ahead = i + kWalkPrefetchDistance;
-        if (ahead < n && vertices[ahead] != kNoVertex) {
-          PrefetchRead(&cells[vertices[ahead]]);
-        }
-      }
-      const Vertex v = vertices[i];
-      if (v == kNoVertex) {
-        out[i] = kNoVertex;
-        continue;
-      }
-      const Cell cell = cells[v];
-      const uint32_t degree = cell.meta >> 1;
-      if (degree == 0) {
-        out[i] = kNoVertex;
-        continue;
-      }
-      const uint32_t draw = rng.UniformIndex(degree);
-      out[i] = ((cell.meta & 1u) != 0)
-                   ? DecodeRowElement(view.pool + cell.base, draw)
-                   : view.targets[cell.base + draw];
+  const uint64_t* offsets = graph.InOffsetsData();
+  const Vertex* targets = graph.InTargetsData();
+  Rng local_rng = rng;
+  // Safe under vertices == out: slot i is read before out[i] is written.
+  for (size_t i = 0; i < vertices.size(); ++i) {
+    const Vertex v = vertices[i];
+    Vertex next = kNoVertex;
+    if (v != kNoVertex) {
+      const uint64_t* row = offsets + v;
+      const auto degree = static_cast<uint32_t>(row[1] - row[0]);
+      if (degree != 0) next = targets[row[0] + local_rng.UniformIndex(degree)];
     }
-    return;
+    out[i] = next;
   }
-  const uint64_t* offsets = view.offsets;
-  const Vertex* targets = view.targets;
-  uint64_t base[kWalkBatchSize];
-  uint32_t bound[kWalkBatchSize];
-  uint32_t draw[kWalkBatchSize];
-  uint32_t slot[kWalkBatchSize];
-  size_t i = 0;
-  // Aliasing note: each batch reads vertices[] only from its own slot range
-  // (plus prefetch peeks ahead, which tolerate stale values) before writing
-  // out[] for those same slots, so vertices == out is safe.
-  while (i < n) {
-    uint32_t lanes = 0;
-    while (i < n && lanes < kWalkBatchSize) {
-      const size_t ahead = i + kWalkPrefetchDistance;
-      if (ahead < n && vertices[ahead] != kNoVertex) {
-        PrefetchRead(&offsets[vertices[ahead]]);
-      }
-      const Vertex v = vertices[i];
-      if (v == kNoVertex) {
-        out[i] = kNoVertex;
-        ++i;
-        continue;
-      }
-      const uint64_t lo = offsets[v];
-      const uint64_t hi = offsets[v + 1];
-      if (lo == hi) {
-        out[i] = kNoVertex;
-        ++i;
-        continue;
-      }
-      base[lanes] = lo;
-      bound[lanes] = static_cast<uint32_t>(hi - lo);
-      slot[lanes] = static_cast<uint32_t>(i);
-      ++lanes;
-      ++i;
-    }
-    if (lanes == 0) continue;
-    rng.UniformIndexBatch({bound, lanes}, draw);
-    for (uint32_t lane = 0; lane < lanes; ++lane) {
-      PrefetchRead(&targets[base[lane] + draw[lane]]);
-    }
-    for (uint32_t lane = 0; lane < lanes; ++lane) {
-      out[slot[lane]] = targets[base[lane] + draw[lane]];
-    }
-  }
+  rng = local_rng;
 }
 
 }  // namespace simrank

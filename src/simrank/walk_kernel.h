@@ -1,22 +1,16 @@
 #ifndef SIMRANK_SIMRANK_WALK_KERNEL_H_
 #define SIMRANK_SIMRANK_WALK_KERNEL_H_
 
-// Batched in-link random-walk kernel: the fast path every Monte-Carlo
-// estimator in this library bottoms out in (Algorithms 1-4 all reduce to
-// stepping R walks T times through RandomInNeighbor).
+// In-link random-walk kernel: the path every Monte-Carlo estimator in
+// this library bottoms out in (Algorithms 1-4 all reduce to stepping R
+// walks T times through RandomInNeighbor).
 //
-// The kernel advances a structure-of-arrays block of walk positions one
-// step at a time:
-//
-//  1. A degree pass resolves each live walk's in-offset row, software-
-//     prefetching the row of the walk `kWalkPrefetchDistance` slots ahead
-//     so the dependent random load of in_offsets[position] overlaps with
-//     arithmetic instead of serializing on it.
-//  2. The per-walk bounds are fed to Rng::UniformIndexBatch (Lemire's
-//     nearly-divisionless sampling: one 64-bit multiply per draw, no
-//     division on the fast path).
-//  3. A gather pass moves each walk to in_targets[base + draw], again
-//     prefetching the neighbor slab one batch slot ahead.
+// Each entry point is one fused scalar loop over the graph's own in-CSR
+// (DirectedGraph::InOffsetsData / InTargetsData): per live walk, load the
+// offset row, draw one Lemire bounded index, load one target. The Rng runs
+// in a local copy for the duration of the loop, so its four state words
+// stay in registers instead of round-tripping memory on the serial draw
+// chain (the position stores could otherwise alias the caller's Rng).
 //
 // Two stepping disciplines are offered:
 //
@@ -30,28 +24,17 @@
 //    surfer-pair baseline.
 //
 // Determinism: draws are consumed in slot order, one per surviving walk,
-// so a fixed Rng stream fixes every trajectory regardless of batch size.
+// so a fixed Rng stream fixes every trajectory.
 //
-// docs/PERFORMANCE.md records the design and the measured speedups.
+// docs/PERFORMANCE.md records the design and the measurements.
 
 #include <cstdint>
 #include <span>
 
 #include "graph/graph.h"
-#include "util/counter.h"
 #include "util/rng.h"
 
 namespace simrank {
-
-/// How many walk slots ahead the kernel prefetches the in-offset row and
-/// the neighbor slab. Sized so several independent cache misses are in
-/// flight without thrashing L1 (the per-walk metadata of a batch slot is
-/// ~16 bytes).
-inline constexpr uint32_t kWalkPrefetchDistance = 8;
-
-/// Walks the kernel processes per batch: bounds/bases/draws for one batch
-/// live in fixed stack arrays, so stepping allocates nothing.
-inline constexpr uint32_t kWalkBatchSize = 128;
 
 /// Advances every walk in positions[0, live) one in-link step. Walks
 /// standing on an in-degree-0 vertex die: they are swapped behind the live
@@ -64,18 +47,6 @@ uint32_t AdvanceWalksCompact(const DirectedGraph& graph,
                              std::span<Vertex> positions, uint32_t live,
                              Rng& rng);
 
-/// AdvanceWalksCompact that additionally tallies every post-step position
-/// into `counter`, block by block as the gather pass writes it. The final
-/// counter state (counts and ForEach insertion order) is exactly what
-/// counter.AddAll over the surviving prefix would produce afterwards — but
-/// the table probes, which are L1-resident compute, execute while the next
-/// block's CSR cache misses are in flight, so per-step occupancy counting
-/// (the WalkProfile construction loop) comes out largely for free instead
-/// of serializing behind the walk step.
-uint32_t AdvanceWalksCompactCounted(const DirectedGraph& graph,
-                                    std::span<Vertex> positions, uint32_t live,
-                                    Rng& rng, WalkCounter& counter);
-
 /// Advances every live walk (!= kNoVertex) in positions one in-link step,
 /// keeping each walk in its slot; walks that die are set to kNoVertex in
 /// place. Returns the number of walks still alive. Use when slot identity
@@ -84,9 +55,9 @@ uint32_t AdvanceWalksCompactCounted(const DirectedGraph& graph,
 uint32_t StepWalksInPlace(const DirectedGraph& graph,
                           std::span<Vertex> positions, Rng& rng);
 
-/// Batched single-step sampling for index builds: for each i, writes a
-/// uniform random in-neighbor of vertices[i] into out[i] (kNoVertex when
-/// the vertex has no in-links). One draw per vertex with in-degree > 0, in
+/// Single-step sampling for index builds: for each i, writes a uniform
+/// random in-neighbor of vertices[i] into out[i] (kNoVertex when the
+/// vertex has no in-links). One draw per vertex with in-degree > 0, in
 /// slot order. vertices and out may alias.
 void SampleInNeighbors(const DirectedGraph& graph,
                        std::span<const Vertex> vertices, Rng& rng,

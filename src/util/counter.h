@@ -75,13 +75,10 @@ class WalkCounter {
   }
 
   /// AddAll minus the growth hoist: the caller guarantees up front that the
-  /// table's capacity covers every distinct key it will ever hold. Exists
-  /// for callers that stream one logical batch in several calls (the walk
-  /// kernel's fused counting adds block by block): AddAll's hoisted check
-  /// must assume all keys of a call are distinct, so per-block calls would
-  /// trigger spurious growth even though the batch as a whole fits. The
-  /// closing check catches contract violations before the table can
-  /// degrade further.
+  /// table's capacity covers every distinct key it will ever hold (the
+  /// WalkProfile loop presizes each step's table for the pre-step live
+  /// count and counts through WalkSet::AdvanceCounted). The closing check
+  /// catches contract violations before the table can degrade further.
   void AddAllPresized(std::span<const uint32_t> keys) {
     constexpr size_t kLanes = 16;
     size_t slot[kLanes];

@@ -2,10 +2,8 @@
 #define SIMRANK_UTIL_RNG_H_
 
 #include <cstdint>
-#include <span>
 
 #include "util/check.h"
-#include "util/simd.h"
 
 namespace simrank {
 
@@ -87,45 +85,6 @@ class Rng {
     }
     return static_cast<uint32_t>(m >> 32);
   }
-
-  /// Batched UniformIndex: out[i] = uniform in [0, bounds[i]). Exactly
-  /// equivalent to calling UniformIndex(bounds[i]) in order — same stream
-  /// consumption, same results. Runtime-dispatched: the AVX2 variant runs
-  /// when the CPU supports it (util/simd.h seam); both variants are
-  /// draw-for-draw bit-identical to the scalar reference, which the
-  /// golden tests assert. All bounds must be positive.
-  void UniformIndexBatch(std::span<const uint32_t> bounds, uint32_t* out) {
-    if (simd::UseAvx2()) {
-      UniformIndexBatchAvx2(bounds, out);
-      return;
-    }
-    UniformIndexBatchScalar(bounds, out);
-  }
-
-  /// The scalar reference path of UniformIndexBatch: the loop has no
-  /// cross-iteration data dependency on the fast path, so the compiler
-  /// keeps several multiplies in flight. This is the determinism
-  /// reference the SIMD variant is golden-tested against.
-  void UniformIndexBatchScalar(std::span<const uint32_t> bounds,
-                               uint32_t* out) {
-    // Drawn through a local copy: the out[i] stores could alias *this, so
-    // without it the state words round-trip memory on every draw, putting
-    // a store-forward on the serial xoshiro chain.
-    Rng local = *this;
-    for (size_t i = 0; i < bounds.size(); ++i) {
-      out[i] = local.UniformIndex(bounds[i]);
-    }
-    *this = local;
-  }
-
-  /// AVX2 variant (defined in rng_avx2.cc): scalar xoshiro generation —
-  /// the state recurrence is a serial chain that vectorizing would
-  /// reorder — with the Lemire multiply + rejection screen vectorized
-  /// eight lanes at a time. Any block with a lane in the rejection window
-  /// restores the pre-block state and re-runs that block through the
-  /// scalar path, so the consumed stream is bit-identical. Falls back to
-  /// the scalar loop on non-x86 builds.
-  void UniformIndexBatchAvx2(std::span<const uint32_t> bounds, uint32_t* out);
 
   /// Uniform double in [0, 1) with 53 bits of randomness.
   double UniformDouble() {

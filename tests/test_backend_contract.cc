@@ -248,39 +248,6 @@ TEST(MonteCarloBackendGoldenTest, BitIdenticalToDirectSearcher) {
   }
 }
 
-// Walk-layout transparency: the compressed hybrid adjacency (and the
-// batched non-resident kernel it selects) is a pure storage change, so
-// with the same options and seed every registered backend must serve
-// bit-identical rankings — scores included — no matter which layout the
-// graph carries. This is what lets the layout policy flip by graph size
-// without perturbing a single served result.
-TEST_P(BackendContractTest, TopKBitIdenticalAcrossWalkLayouts) {
-  const SearchOptions options = ContractOptions();
-  std::unique_ptr<SearcherBackend> plain_backend = MakeBuilt(graph_);
-  std::unordered_map<Vertex, std::vector<ScoredVertex>> reference;
-  for (Vertex u = 0; u < graph_.NumVertices(); u += 11) {
-    reference[u] = plain_backend->Query(u).top;
-  }
-  WalkLayoutOptions inline_layout;
-  inline_layout.inline_cutoff = 1000000;  // every row varint-compressed
-  WalkLayoutOptions batched_layout;
-  batched_layout.resident_bytes = 0;  // force the prefetching kernel
-  batched_layout.inline_cutoff = 4;   // hybrid: hubs escape
-  for (const WalkLayoutOptions& layout : {inline_layout, batched_layout}) {
-    DirectedGraph relaid = graph_;
-    relaid.SetWalkLayout(layout);
-    std::unique_ptr<SearcherBackend> backend = MakeBuilt(relaid, options);
-    for (const auto& [u, expected] : reference) {
-      const std::vector<ScoredVertex> got = backend->Query(u).top;
-      ASSERT_EQ(got.size(), expected.size()) << "query " << u;
-      for (size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].vertex, expected[i].vertex) << "query " << u;
-        EXPECT_EQ(got[i].score, expected[i].score) << "query " << u;
-      }
-    }
-  }
-}
-
 TEST(BackendRegistryTest, EveryRegisteredKindConstructs) {
   const DirectedGraph graph = testing::SmallRandomGraph(30, 5);
   for (BackendKind kind : RegisteredBackends()) {

@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include "eval/datasets.h"
 #include "service/query_engine.h"
 #include "service/result_cache.h"
 #include "simrank/backend_mc.h"
@@ -710,128 +709,6 @@ TEST_F(ServiceEngineTest, ConcurrentSubmissionStress) {
       for (auto& future : pending) {
         auto response = future.get();
         if (!response.ok() || !response->status.ok()) failures.fetch_add(1);
-      }
-    });
-  }
-  for (std::thread& client : clients) client.join();
-  EXPECT_EQ(failures.load(), 0);
-}
-
-// ------------------------------------------- intra-query parallelism
-
-// Golden determinism on syn-ca-grqc: the parallel candidate-evaluation
-// path must produce identical rankings and bit-identical scores for any
-// thread count ({1, 4} here), whether driven through the engine or the
-// bare kernel. The serial path (parallel_candidates = 0) is pinned down
-// separately by the engine-vs-kernel suites above — it shares no RNG
-// streams with the fan-out path, so cross-mode scores are not compared.
-TEST(ParallelCandidatesTest, GoldenDeterminismAcrossThreadCounts) {
-  const DirectedGraph graph =
-      eval::Generate(*eval::FindDataset("syn-ca-grqc", 0.25));
-
-  SearchOptions serial = BaseSearch();
-  SearchOptions inline_parallel = serial;
-  inline_parallel.parallel_candidates = 1;  // fan-out path, inline
-  SearchOptions pooled_parallel = serial;
-  pooled_parallel.parallel_candidates = 4;  // fan-out path, 4 threads
-
-  TopKSearcher inline_kernel(graph, inline_parallel);
-  inline_kernel.BuildIndex();
-  TopKSearcher pooled_kernel(graph, pooled_parallel);
-  pooled_kernel.BuildIndex();
-
-  EngineOptions engine_options;
-  engine_options.search = pooled_parallel;
-  engine_options.num_threads = 2;
-  auto engine = QueryEngine::Create(graph, engine_options);
-  ASSERT_TRUE(engine.ok());
-
-  for (Vertex v = 1; v < graph.NumVertices(); v += 211) {
-    const QueryResult inline_result = inline_kernel.Query(v);
-    const QueryResult pooled_result = pooled_kernel.Query(v);
-    ExpectSameRanking(pooled_result.top, inline_result.top);
-    // Rerunning the same query must reproduce it exactly (no hidden
-    // shared state between queries on the fan-out path).
-    ExpectSameRanking(pooled_kernel.Query(v).top, pooled_result.top);
-    // The engine runs the same deterministic path on its worker pool.
-    auto response =
-        (*engine)->Query(QueryRequest::ForVertex(v).WithBypassCache());
-    ASSERT_TRUE(response.ok());
-    EXPECT_TRUE(response->status.ok());
-    ExpectSameRanking(response->top, inline_result.top);
-    // The fan-out path prunes against the static threshold only, so its
-    // stats agree across thread counts too.
-    EXPECT_EQ(pooled_result.stats.candidates_enumerated,
-              inline_result.stats.candidates_enumerated);
-    EXPECT_EQ(pooled_result.stats.refined, inline_result.stats.refined);
-    EXPECT_EQ(pooled_result.stats.skipped_after_estimate,
-              inline_result.stats.skipped_after_estimate);
-  }
-}
-
-TEST_F(ServiceEngineTest, ParallelCandidatesRejectedAboveLimit) {
-  EngineOptions options = BaseEngine();
-  options.search.parallel_candidates =
-      SearchOptions::kMaxParallelCandidates + 1;
-  auto engine = QueryEngine::Create(graph_, options);
-  ASSERT_FALSE(engine.ok());
-  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
-}
-
-// Concurrent Submit with parallel_candidates enabled: engine workers fan
-// each query out over the searcher's internal pool while other workers do
-// the same. The TSan preset runs race detection over this path; the test
-// also checks the responses stay deterministic under the contention.
-TEST_F(ServiceEngineTest, ConcurrentSubmissionsWithParallelCandidates) {
-  EngineOptions options = BaseEngine();
-  options.num_threads = 2;
-  options.search.parallel_candidates = 2;
-  options.enable_cache = false;
-  auto engine = QueryEngine::Create(graph_, options);
-  ASSERT_TRUE(engine.ok());
-
-  // Serial baseline through the same fan-out algorithm (inline).
-  SearchOptions baseline_options = options.search;
-  baseline_options.parallel_candidates = 1;
-  TopKSearcher baseline(graph_, baseline_options);
-  baseline.BuildIndex();
-
-  constexpr int kClientThreads = 3;
-  constexpr int kIterations = 12;
-  std::atomic<int> failures{0};
-  std::vector<std::thread> clients;
-  for (int t = 0; t < kClientThreads; ++t) {
-    clients.emplace_back([&, t] {
-      std::vector<std::pair<Vertex, std::future<Result<QueryResponse>>>>
-          pending;
-      for (int i = 0; i < kIterations; ++i) {
-        const Vertex v =
-            static_cast<Vertex>((t * 53 + i * 17) % graph_.NumVertices());
-        auto submitted = (*engine)->Submit(QueryRequest::ForVertex(v));
-        if (submitted.ok()) {
-          pending.emplace_back(v, std::move(submitted.value()));
-        } else {
-          failures.fetch_add(1);
-        }
-      }
-      for (auto& [v, future] : pending) {
-        auto response = future.get();
-        if (!response.ok() || !response->status.ok()) {
-          failures.fetch_add(1);
-          continue;
-        }
-        const QueryResult want = baseline.Query(v);
-        if (response->top.size() != want.top.size()) {
-          failures.fetch_add(1);
-          continue;
-        }
-        for (size_t i = 0; i < want.top.size(); ++i) {
-          if (response->top[i].vertex != want.top[i].vertex ||
-              response->top[i].score != want.top[i].score) {
-            failures.fetch_add(1);
-            break;
-          }
-        }
       }
     });
   }

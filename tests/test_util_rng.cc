@@ -152,21 +152,6 @@ TEST(RngTest, UniformIndexMaxBoundIsUniform) {
   EXPECT_LT(ChiSquared(counts, kSamples), 37.70);
 }
 
-TEST(RngTest, UniformIndexBatchMatchesScalarCalls) {
-  // The walk kernel's determinism contract depends on the batch draw
-  // consuming the stream exactly like sequential scalar draws.
-  const std::vector<uint32_t> bounds = {1,  2,  3,   7,   12,        100,
-                                        1,  5,  256, 999, UINT32_MAX, 13};
-  Rng batch_rng(15), scalar_rng(15);
-  std::vector<uint32_t> batched(bounds.size());
-  batch_rng.UniformIndexBatch(bounds, batched.data());
-  for (size_t i = 0; i < bounds.size(); ++i) {
-    EXPECT_EQ(batched[i], scalar_rng.UniformIndex(bounds[i])) << "i=" << i;
-  }
-  // And the generators end in the same state.
-  EXPECT_EQ(batch_rng.Next(), scalar_rng.Next());
-}
-
 TEST(RngTest, UniformDoubleInUnitInterval) {
   Rng rng(5);
   double min = 1.0, max = 0.0;

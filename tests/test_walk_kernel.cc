@@ -1,19 +1,21 @@
-// Batched walk-kernel coverage: scalar equivalence (the kernel must
-// consume the RNG stream exactly like the one-walk-at-a-time loop it
-// replaced), swap-compaction invariants, slot preservation, bulk
-// single-step sampling (including in-place aliasing), and determinism.
+// Walk-kernel coverage: scalar equivalence (the kernel must consume the
+// RNG stream exactly like the one-walk-at-a-time RandomInNeighbor loop,
+// with and without dying walks), swap-compaction invariants, counted
+// stepping, slot preservation, single-step sampling (including in-place
+// aliasing), and determinism.
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "graph/graph.h"
+#include "simrank/monte_carlo.h"
 #include "simrank/walk_kernel.h"
 #include "test_helpers.h"
 #include "util/counter.h"
 #include "util/rng.h"
-#include "util/simd.h"
 
 namespace simrank {
 namespace {
@@ -30,8 +32,8 @@ DirectedGraph Cycle3() {
 }
 
 // Ring plus deterministic chords: every vertex has in-degree >= 1 by
-// construction, so no walk ever dies (needed by the scalar-equivalence
-// test — a death swap-compacts slots and decouples the two streams).
+// construction, so no walk ever dies and the kernel must match the plain
+// slot-by-slot loop with no compaction at all.
 DirectedGraph RingWithChords(Vertex n) {
   std::vector<Edge> edges;
   for (Vertex v = 0; v < n; ++v) {
@@ -44,8 +46,7 @@ DirectedGraph RingWithChords(Vertex n) {
 
 TEST(AdvanceWalksCompactTest, MatchesScalarLoopWhenNoWalkDies) {
   // No in-degree-0 vertices: the kernel draws in slot order, exactly like
-  // the scalar RandomInNeighbor loop. More walks than one batch so block
-  // boundaries are crossed.
+  // the scalar RandomInNeighbor loop.
   const DirectedGraph graph = RingWithChords(60);
   constexpr uint32_t kWalks = 300;
   std::vector<Vertex> batched(kWalks, 0);
@@ -106,6 +107,96 @@ TEST(AdvanceWalksCompactTest, DeterministicForFixedSeed) {
     live_b = AdvanceWalksCompact(graph, b, live_b, rng_b);
     EXPECT_EQ(live_a, live_b);
     EXPECT_EQ(a, b);
+  }
+}
+
+// The one-walk-at-a-time reference for AdvanceWalksCompact: RandomInNeighbor
+// in slot order, with the kernel's compaction rule (a dying walk's slot takes
+// the last live walk, which is stepped next; the vacated tail slot becomes
+// kNoVertex).
+uint32_t CompactingScalarReference(const DirectedGraph& graph,
+                                   std::vector<Vertex>& positions,
+                                   uint32_t live, Rng& rng) {
+  uint32_t i = 0;
+  while (i < live) {
+    const Vertex next = graph.RandomInNeighbor(positions[i], rng);
+    if (next == kNoVertex) {
+      --live;
+      positions[i] = positions[live];
+      positions[live] = kNoVertex;
+      continue;
+    }
+    positions[i] = next;
+    ++i;
+  }
+  return live;
+}
+
+std::vector<std::pair<Vertex, uint32_t>> CounterEntries(
+    const WalkCounter& counter) {
+  std::vector<std::pair<Vertex, uint32_t>> entries;
+  counter.ForEach([&](Vertex v, uint32_t count) {
+    entries.emplace_back(v, count);
+  });
+  return entries;
+}
+
+TEST(AdvanceWalksCompactTest, MatchesCompactingScalarReferenceWhenWalksDie) {
+  // BA backbone plus random arcs, minus every in-link of the multiples of
+  // 5: a walk that steps onto one dies on its next step, so some walks die
+  // at every step while the others live on.
+  const Vertex n = 400;
+  std::vector<Edge> edges;
+  for (const Edge& e : testing::SmallRandomGraph(n, 31, 600).Edges()) {
+    if (e.to % 5 != 0) edges.push_back(e);
+  }
+  const DirectedGraph graph = testing::GraphFromEdges(n, edges);
+  constexpr uint32_t kWalks = 333;
+  constexpr int kSteps = 10;
+  const Vertex origins[] = {1, n / 2 + 1, n - 1};
+  uint32_t partial_deaths = 0;  // steps where some, but not all, walks died
+  for (Vertex origin : origins) {
+    std::vector<Vertex> kernel(kWalks, origin);
+    std::vector<Vertex> reference(kWalks, origin);
+    Rng kernel_rng(12345 + origin), reference_rng(12345 + origin);
+    uint32_t live = kWalks;
+    for (int step = 0; step < kSteps; ++step) {
+      const uint32_t before = live;
+      live = AdvanceWalksCompact(graph, kernel, live, kernel_rng);
+      const uint32_t reference_live =
+          CompactingScalarReference(graph, reference, before, reference_rng);
+      ASSERT_EQ(live, reference_live) << "origin " << origin << " step "
+                                      << step;
+      ASSERT_EQ(kernel, reference) << "origin " << origin << " step " << step;
+      if (live < before && live > 0) ++partial_deaths;
+    }
+    // Same final generator state: the next draws agree.
+    for (int draw = 0; draw < 4; ++draw) {
+      EXPECT_EQ(kernel_rng.Next(), reference_rng.Next()) << "origin "
+                                                         << origin;
+    }
+  }
+  EXPECT_GE(partial_deaths, 3u * (kSteps - 1)) << "walks must die mid-run";
+
+  // WalkSet::AdvanceCounted on the same streams: its per-step counter must
+  // equal AddAll(live()) after a plain Advance — counts and ForEach order.
+  for (Vertex origin : origins) {
+    WalkSet counted(graph, origin, kWalks);
+    WalkSet plain(graph, origin, kWalks);
+    Rng counted_rng(12345 + origin), plain_rng(12345 + origin);
+    for (int step = 0; step < kSteps && !plain.AllDead(); ++step) {
+      WalkCounter got(counted.live_count());
+      WalkCounter want(plain.live_count());
+      const uint32_t counted_live = counted.AdvanceCounted(counted_rng, got);
+      plain.Advance(plain_rng);
+      ASSERT_EQ(counted_live, plain.live_count());
+      want.AddAll(plain.live());
+      ASSERT_EQ(CounterEntries(got), CounterEntries(want))
+          << "origin " << origin << " step " << step;
+      ASSERT_TRUE(std::equal(counted.positions().begin(),
+                             counted.positions().end(),
+                             plain.positions().begin()));
+    }
   }
 }
 
@@ -200,135 +291,6 @@ TEST(WalkKernelTest, EmptyInputsAreNoOps) {
   // The stream must be untouched by no-op calls.
   Rng fresh(9);
   EXPECT_EQ(rng.Next(), fresh.Next());
-}
-
-// --- Layout / dispatch golden tests -------------------------------------
-//
-// The determinism contract: every kernel path — fused resident loop,
-// batched prefetch loop, inline-compressed rows, AVX2 gather — consumes
-// the RNG stream draw-for-draw identically. These tests pin each layout
-// and dispatch mode in turn against the same seed and require bit-equal
-// position streams.
-
-// Runs `steps` counted advances under the graph's current layout and
-// returns the concatenated position stream (positions after each step).
-std::vector<Vertex> WalkStream(const DirectedGraph& graph, Vertex origin,
-                               uint32_t num_walks, int steps, uint64_t seed) {
-  std::vector<Vertex> stream;
-  std::vector<Vertex> positions(num_walks, origin);
-  Rng rng(seed);
-  uint32_t live = num_walks;
-  for (int s = 0; s < steps && live > 0; ++s) {
-    WalkCounter counter(live);
-    live = AdvanceWalksCompactCounted(graph, positions, live, rng, counter);
-    stream.insert(stream.end(), positions.begin(), positions.end());
-    // Fused counting must agree with the surviving positions.
-    uint32_t counted = 0;
-    counter.ForEach([&](Vertex, uint32_t count) { counted += count; });
-    EXPECT_EQ(counted, live) << "step " << s;
-  }
-  return stream;
-}
-
-// Layout variants applied to copies of one graph. resident_bytes = 0
-// forces the batched prefetch path; a huge resident budget forces the
-// fused loop; the cutoffs toggle inline compression.
-std::vector<WalkLayoutOptions> LayoutMatrix() {
-  WalkLayoutOptions resident_plain;
-  resident_plain.resident_bytes = ~0ull;
-  WalkLayoutOptions batched_plain;
-  batched_plain.resident_bytes = 0;
-  WalkLayoutOptions resident_inline = resident_plain;
-  resident_inline.inline_cutoff = 1000000;
-  WalkLayoutOptions batched_inline = batched_plain;
-  batched_inline.inline_cutoff = 1000000;
-  WalkLayoutOptions batched_hybrid = batched_plain;
-  batched_hybrid.inline_cutoff = 4;
-  return {resident_plain, batched_plain, resident_inline, batched_inline,
-          batched_hybrid};
-}
-
-TEST(WalkKernelGoldenTest, AllLayoutsProduceOneStream) {
-  const uint32_t n = 400;
-  DirectedGraph graph = testing::SmallRandomGraph(n, 31, 600);
-  std::vector<Vertex> reference;
-  int variant = 0;
-  for (const WalkLayoutOptions& options : LayoutMatrix()) {
-    graph.SetWalkLayout(options);
-    // Streams for three origins, concatenated: exercises dying walks
-    // (low-id BA vertices are hubs, high ids may have in-degree 0).
-    std::vector<Vertex> combined;
-    for (Vertex origin : {Vertex{0}, Vertex{n / 2}, Vertex{n - 1}}) {
-      const auto stream = WalkStream(graph, origin, 333, 8, 12345 + origin);
-      combined.insert(combined.end(), stream.begin(), stream.end());
-    }
-    if (variant == 0) reference = combined;
-    EXPECT_EQ(combined, reference) << "layout variant " << variant;
-    ++variant;
-  }
-  // Restore the default policy for any later test sharing the fixture.
-  graph.SetWalkLayout(
-      WalkLayoutOptions::FromStats(graph.NumVertices(), graph.NumEdges()));
-}
-
-TEST(WalkKernelGoldenTest, ScalarAndAvx2DispatchAreBitIdentical) {
-  DirectedGraph graph = testing::SmallRandomGraph(500, 77, 800);
-  WalkLayoutOptions batched;
-  batched.resident_bytes = 0;  // the only path with SIMD in it
-  graph.SetWalkLayout(batched);
-  simd::SetMode(simd::Mode::kScalar);
-  const auto scalar = WalkStream(graph, 3, 512, 10, 999);
-  if (simd::CpuHasAvx2()) {
-    simd::SetMode(simd::Mode::kAvx2);
-    const auto vectored = WalkStream(graph, 3, 512, 10, 999);
-    EXPECT_EQ(vectored, scalar);
-  }
-  simd::SetMode(simd::Mode::kAuto);
-  const auto automatic = WalkStream(graph, 3, 512, 10, 999);
-  EXPECT_EQ(automatic, scalar);
-}
-
-TEST(WalkKernelGoldenTest, StepWalksInPlaceMatchesAcrossLayouts) {
-  const uint32_t n = 300;
-  DirectedGraph graph = testing::SmallRandomGraph(n, 13, 400);
-  std::vector<Vertex> reference;
-  int variant = 0;
-  for (const WalkLayoutOptions& options : LayoutMatrix()) {
-    graph.SetWalkLayout(options);
-    std::vector<Vertex> positions(256);
-    for (size_t i = 0; i < positions.size(); ++i) {
-      positions[i] = static_cast<Vertex>((i * 7) % n);
-    }
-    positions[5] = kNoVertex;  // tombstones must stay put
-    positions[100] = kNoVertex;
-    Rng rng(4242);
-    for (int s = 0; s < 6; ++s) StepWalksInPlace(graph, positions, rng);
-    if (variant == 0) reference = positions;
-    EXPECT_EQ(positions, reference) << "layout variant " << variant;
-    EXPECT_EQ(positions[5], kNoVertex);
-    EXPECT_EQ(positions[100], kNoVertex);
-    ++variant;
-  }
-}
-
-TEST(WalkKernelGoldenTest, SampleInNeighborsMatchesAcrossLayouts) {
-  const uint32_t n = 250;
-  DirectedGraph graph = testing::SmallRandomGraph(n, 19, 300);
-  std::vector<Vertex> sources(200);
-  for (size_t i = 0; i < sources.size(); ++i) {
-    sources[i] = static_cast<Vertex>((i * 11) % n);
-  }
-  std::vector<Vertex> reference;
-  int variant = 0;
-  for (const WalkLayoutOptions& options : LayoutMatrix()) {
-    graph.SetWalkLayout(options);
-    std::vector<Vertex> out(sources.size());
-    Rng rng(31337);
-    SampleInNeighbors(graph, sources, rng, out.data());
-    if (variant == 0) reference = out;
-    EXPECT_EQ(out, reference) << "layout variant " << variant;
-    ++variant;
-  }
 }
 
 }  // namespace

@@ -10,8 +10,8 @@
 // Column semantics match the paper: "Query" for the proposed method is a
 // full top-20 single-source search; F-R's query is a single-pair estimate
 // (the workload [9] reports); Yu's all-pairs column is its full dense
-// iteration; "AllPairs" for the proposed method (QueryAll) is reported for
-// the small corpus.
+// iteration; "AllPairs" for the proposed method (RunAllPairs) is reported
+// for the small corpus.
 
 #include <cstdio>
 #include <string>
@@ -19,6 +19,7 @@
 
 #include "bench_common.h"
 #include "eval/datasets.h"
+#include "simrank/all_pairs.h"
 #include "simrank/fogaras_racz.h"
 #include "simrank/top_k_searcher.h"
 #include "simrank/yu_all_pairs.h"
@@ -69,14 +70,12 @@ int main(int argc, char** argv) {
       query_seconds += searcher.Query(u, workspace).stats.seconds;
     }
     row.push_back(FormatDuration(query_seconds / queries.size()));
-    // All-pairs (QueryAll) only where it finishes promptly: estimate from
-    // the measured per-query cost.
+    // All-pairs only where it finishes promptly: estimate from the
+    // measured per-query cost.
     const double projected_all_pairs =
         query_seconds / queries.size() * static_cast<double>(n);
     if (projected_all_pairs < 60.0) {
-      WallTimer all_timer;
-      searcher.QueryAll();
-      row.push_back(FormatDuration(all_timer.ElapsedSeconds()));
+      row.push_back(FormatDuration(RunAllPairs(searcher).seconds));
     } else {
       row.push_back("~" + FormatDuration(projected_all_pairs));
     }

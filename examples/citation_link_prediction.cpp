@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
     options.search.k = 100;  // group ranking needs a wide per-member pool
     options.search.threshold = 0.005;
     options.search.seed = 1000 + trial;
-    options.enable_cache = false;  // every trial's graph is different
+    options.cache_capacity = 0;  // every trial's graph is different
     auto engine = service::QueryEngine::Create(graph, options);
     if (!engine.ok()) {
       std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());

@@ -8,6 +8,8 @@
 #include <thread>
 #include <utility>
 
+#include "obs/event_log.h"
+#include "obs/metrics.h"
 #include "obs/rolling.h"
 #include "util/rng.h"
 
@@ -160,7 +162,8 @@ Result<LoadReport> LoadGenerator::Run() {
   report.achieved_qps =
       wall_seconds > 0.0 ? static_cast<double>(executed_ok) / wall_seconds
                          : 0.0;
-  if (engine_.options().record_events && !engine_.options().slos.empty()) {
+  if (obs::IsEnabled() && obs::EventsEnabled() &&
+      !engine_.options().slos.empty()) {
     const obs::WindowSnapshot window = obs::RollingWindow::Default().Snapshot(
         obs::RollingWindow::NowSecond());
     report.slos = window.slos;

@@ -109,16 +109,6 @@ uint64_t EstimateWalks(const QueryStats& stats, const SearchOptions& search,
 
 }  // namespace
 
-/// Serving-layer scratch: the group-vote accumulator the engine's own
-/// group loop needs (the engine re-implements the group aggregation so it
-/// can check the deadline between members). Backends pool their own
-/// per-query kernel scratch internally.
-struct QueryEngine::Workspace {
-  /// Dense per-vertex score accumulator, kept zeroed between uses.
-  std::vector<double> votes;
-  std::vector<Vertex> touched;
-};
-
 Status ValidateEngineOptions(const EngineOptions& options) {
   SIMRANK_RETURN_IF_ERROR(options.search.Validate());
   if (options.backend != BackendChoice::kAuto &&
@@ -126,8 +116,7 @@ Status ValidateEngineOptions(const EngineOptions& options) {
     return Status::InvalidArgument(
         "EngineOptions::backend is not a registered backend");
   }
-  if (options.enable_cache && options.cache_capacity > 0 &&
-      options.cache_shards < 1) {
+  if (options.cache_capacity > 0 && options.cache_shards < 1) {
     return Status::InvalidArgument(
         "EngineOptions::cache_shards must be >= 1 when the cache is enabled");
   }
@@ -190,34 +179,29 @@ QueryEngine::QueryEngine(const DirectedGraph& graph, EngineOptions options)
 
 Result<std::unique_ptr<QueryEngine>> QueryEngine::Finish(
     std::unique_ptr<QueryEngine> engine) {
-  if (engine->options_.enable_cache && engine->options_.cache_capacity > 0) {
+  if (engine->options_.cache_capacity > 0) {
     engine->cache_ = std::make_unique<ResultCache>(
         engine->options_.cache_capacity, engine->options_.cache_shards);
   }
-  // Enough pooled workspaces for every worker plus a couple of synchronous
-  // callers; beyond that, bursts allocate and drop.
-  engine->max_pooled_workspaces_ = engine->pool_.num_threads() * 2 + 2;
   if (engine->options_.admission.any_enabled()) {
     engine->admission_ =
         std::make_unique<AdmissionController>(engine->options_.admission);
   }
-  if (engine->options_.record_events) {
-    // The event sinks are process-wide (like the metrics registry):
-    // engines configure them, the CLI / postmortem hook read them without
-    // needing an engine reference.
-    if (engine->options_.slow_log_threshold_seconds > 0.0) {
-      // A positive threshold must arm the log: sub-nanosecond values
-      // (e.g. 1e-12 in tests) round up to 1 ns instead of truncating to
-      // the 0 that means "disarmed".
-      const uint64_t threshold_ns = std::max<uint64_t>(
-          1, static_cast<uint64_t>(
-                 engine->options_.slow_log_threshold_seconds * 1e9));
-      obs::SlowQueryLog::Default().Configure(
-          threshold_ns, engine->options_.slow_log_capacity);
-    }
-    if (!engine->options_.slos.empty()) {
-      obs::RollingWindow::Default().SetSlos(engine->options_.slos);
-    }
+  // The event sinks are process-wide (like the metrics registry): engines
+  // configure them, the CLI / postmortem hook read them without needing an
+  // engine reference.
+  if (engine->options_.slow_log_threshold_seconds > 0.0) {
+    // A positive threshold must arm the log: sub-nanosecond values (e.g.
+    // 1e-12 in tests) round up to 1 ns instead of truncating to the 0 that
+    // means "disarmed".
+    const uint64_t threshold_ns = std::max<uint64_t>(
+        1, static_cast<uint64_t>(
+               engine->options_.slow_log_threshold_seconds * 1e9));
+    obs::SlowQueryLog::Default().Configure(threshold_ns,
+                                           engine->options_.slow_log_capacity);
+  }
+  if (!engine->options_.slos.empty()) {
+    obs::RollingWindow::Default().SetSlos(engine->options_.slos);
   }
   // Resolve and build the primary backend. kAuto applies SelectBackend's
   // size rule: a pass over the graph's summary stats is O(n + m), noise
@@ -276,7 +260,7 @@ QueryEngine::~QueryEngine() {
       .Set(static_cast<int64_t>(stats.tasks_executed));
   registry.GetGauge("service.pool.queue_wait_us")
       .Set(static_cast<int64_t>(stats.queue_wait_seconds * 1e6));
-  if (options_.record_events && !options_.slos.empty()) {
+  if (!options_.slos.empty()) {
     obs::RollingWindow::Default().UpdateGauges(obs::RollingWindow::NowSecond());
   }
 }
@@ -322,9 +306,7 @@ QueryResponse QueryEngine::Shed(const QueryRequest& request,
   response.status = Status::Unavailable(
       std::string("request shed by admission control: ") +
       AdmissionDecisionName(decision));
-  const bool events =
-      options_.record_events && obs::IsEnabled() && obs::EventsEnabled();
-  if (events) {
+  if (obs::IsEnabled() && obs::EventsEnabled()) {
     obs::QueryEvent event;
     event.start_ns = obs::EventLog::NowNs();
     event.vertex = request.vertices.front();
@@ -424,21 +406,6 @@ std::vector<Result<QueryResponse>> QueryEngine::SubmitBatch(
   return responses;
 }
 
-std::vector<std::vector<ScoredVertex>> QueryEngine::QueryAll() {
-  const Vertex n = graph_.NumVertices();
-  std::vector<std::vector<ScoredVertex>> rankings(n);
-  const SearcherBackend& primary = GetOrCreateBackend(primary_kind_);
-  // Per-query RNG streams are order-independent, so chunked parallel
-  // execution is bit-identical to the serial loop. ParallelFor (rather
-  // than raw Submit/Wait) keeps completion tracking per call, so QueryAll
-  // can run while Submit traffic shares the pool. Per-query kernel
-  // scratch is pooled inside the backend.
-  ParallelFor(&pool_, 0, n, [&](size_t u) {
-    rankings[u] = primary.Query(static_cast<Vertex>(u)).top;
-  });
-  return rankings;
-}
-
 Result<AllPairsShard> QueryEngine::RunAllPairs(const AllPairsOptions& options) {
   if (options.num_partitions < 1) {
     return Status::InvalidArgument("num_partitions must be >= 1");
@@ -489,32 +456,12 @@ size_t QueryEngine::CacheSize() const {
   return cache_ != nullptr ? cache_->size() : 0;
 }
 
-std::unique_ptr<QueryEngine::Workspace> QueryEngine::AcquireWorkspace() {
-  {
-    MutexLock lock(workspace_mutex_);
-    if (!workspace_freelist_.empty()) {
-      std::unique_ptr<Workspace> workspace =
-          std::move(workspace_freelist_.back());
-      workspace_freelist_.pop_back();
-      return workspace;
-    }
-  }
-  return std::make_unique<Workspace>();
-}
-
-void QueryEngine::ReleaseWorkspace(std::unique_ptr<Workspace> workspace) {
-  MutexLock lock(workspace_mutex_);
-  if (workspace_freelist_.size() < max_pooled_workspaces_) {
-    workspace_freelist_.push_back(std::move(workspace));
-  }
-}
-
 Result<QueryResponse> QueryEngine::Execute(const QueryRequest& request,
                                            double queue_seconds,
                                            bool submitted) {
-  const bool events = options_.record_events && obs::IsEnabled() &&
-                      obs::EventsEnabled();
-  if (!events) return ExecuteStages(request, queue_seconds);
+  if (!obs::IsEnabled() || !obs::EventsEnabled()) {
+    return ExecuteStages(request, queue_seconds);
+  }
 
   obs::SlowQueryLog& slow_log = obs::SlowQueryLog::Default();
   // A per-query tracer (for the slow log's span trees) only when the slow
@@ -674,9 +621,7 @@ Result<QueryResponse> QueryEngine::ExecuteStages(const QueryRequest& request,
   // Stage 4: run the backend.
   const SearcherBackend& backend = GetOrCreateBackend(backend_kind);
   if (request.is_group()) {
-    std::unique_ptr<Workspace> workspace = AcquireWorkspace();
-    RunGroup(request, backend, *workspace, overrides, k, response);
-    ReleaseWorkspace(std::move(workspace));
+    RunGroup(request, backend, overrides, k, response);
   } else {
     QueryResult result = backend.Query(request.vertices.front(), overrides);
     response.top = std::move(result.top);
@@ -701,18 +646,13 @@ Result<QueryResponse> QueryEngine::ExecuteStages(const QueryRequest& request,
 
 void QueryEngine::RunGroup(const QueryRequest& request,
                            const SearcherBackend& backend,
-                           Workspace& workspace,
                            const QueryOverrides& overrides,
                            uint32_t effective_k, QueryResponse& response) {
-  // Mirrors SearcherBackend::QueryGroup step for step (same member order,
-  // vote accumulation and collector order, so results are bit-identical),
-  // with a deadline check between members: on expiry the loop stops and
-  // the ranking/stats of the members already run are returned as the
-  // partial answer.
-  std::vector<double>& votes = workspace.votes;
-  votes.resize(graph_.NumVertices(), 0.0);
-  std::vector<Vertex>& touched = workspace.touched;
-  touched.clear();
+  // Score-sum voting over the members' rankings, members excluded, with a
+  // deadline check between members: on expiry the loop stops and the
+  // ranking/stats of the members already run are the partial answer.
+  obs::ScopedSpan group_span("query_group");
+  std::vector<ScoredVertex> entries;
   size_t completed = 0;
   for (Vertex member : request.vertices) {
     if (DeadlinePassed(request.deadline)) {
@@ -723,19 +663,26 @@ void QueryEngine::RunGroup(const QueryRequest& request,
     }
     const QueryResult member_result = backend.Query(member, overrides);
     response.stats += member_result.stats;
-    for (const ScoredVertex& entry : member_result.top) {
-      if (votes[entry.vertex] == 0.0) touched.push_back(entry.vertex);
-      votes[entry.vertex] += entry.score;
-    }
+    entries.insert(entries.end(), member_result.top.begin(),
+                   member_result.top.end());
     ++completed;
   }
-  // Group members never recommend themselves.
-  for (Vertex member : request.vertices) votes[member] = 0.0;
+  // A stable sort keeps each vertex's votes in member order, so the sums
+  // do not depend on anything but the member order.
+  std::ranges::stable_sort(entries, {}, &ScoredVertex::vertex);
+  std::vector<Vertex> members = request.vertices;
+  std::ranges::sort(members);
   TopKCollector collector(effective_k);
-  for (Vertex v : touched) {
-    if (votes[v] > 0.0) collector.Push(v, votes[v]);
+  for (auto run = entries.begin(); run != entries.end();) {
+    const Vertex v = run->vertex;
+    double votes = 0.0;
+    for (; run != entries.end() && run->vertex == v; ++run) {
+      votes += run->score;
+    }
+    if (votes > 0.0 && !std::ranges::binary_search(members, v)) {
+      collector.Push(v, votes);
+    }
   }
-  for (Vertex v : touched) votes[v] = 0.0;  // leave the workspace clean
   response.top = collector.TakeSorted();
 }
 

@@ -5,8 +5,10 @@
 // is built on, layered over the pluggable SearcherBackend contract.
 //
 // The engine owns a set of query backends (the Monte-Carlo kernel and the
-// exact oracle — see simrank/searcher_backend.h), a thread pool, a pool
-// of reusable per-thread workspaces, and a sharded LRU result cache.
+// exact oracle — see simrank/searcher_backend.h), a thread pool and a
+// sharded LRU result cache. Backends answer single-vertex top-k only;
+// group requests are composed here, by score-sum voting over the
+// members' rankings.
 // Which backend serves is decided by EngineOptions::backend — a concrete
 // kind, or kAuto, which applies SelectBackend's size rule to the graph at
 // engine creation — and can be overridden per request
@@ -28,8 +30,9 @@
 // CHECK-fails on user input.
 //
 // Thread-safety: every public method may be called concurrently from any
-// number of threads. QueryAll/RunAllPairs must not be called from inside
-// one of the engine's own pool tasks (they block on the pool).
+// number of threads. RunAllPairs/RunAllPairsToFile/PrewarmCache must not
+// be called from inside one of the engine's own pool tasks (they block on
+// the pool).
 
 #include <atomic>
 #include <chrono>
@@ -151,7 +154,7 @@ struct QueryResponse {
   /// Execution outcome: OK, or DeadlineExceeded (in which case `top` and
   /// `stats` hold whatever was computed before the deadline fired).
   Status status;
-  /// Best-first ranking (at most k entries, scores >= threshold).
+  /// Best-first ranking (at most k entries, scores > 0 and >= threshold).
   std::vector<ScoredVertex> top;
   /// Per-query instrumentation; for cache hits, the stats of the query
   /// that originally computed the entry.
@@ -192,12 +195,11 @@ struct EngineOptions {
   /// deployments keep bit-identical behavior — auto-selection is opt-in.
   BackendChoice backend = BackendChoice::kMonteCarlo;
 
-  /// Worker threads for Submit/SubmitBatch/QueryAll; 0 means
+  /// Worker threads for Submit/SubmitBatch/RunAllPairs; 0 means
   /// hardware_concurrency.
   uint32_t num_threads = 0;
 
-  /// Result cache; capacity 0 (or enable_cache = false) disables it.
-  bool enable_cache = true;
+  /// Result cache; capacity 0 disables it.
   size_t cache_capacity = 4096;
   uint32_t cache_shards = 8;
 
@@ -206,12 +208,6 @@ struct EngineOptions {
   /// The zero value disables all of it, keeping default serving
   /// behavior bit-identical to earlier releases.
   AdmissionOptions admission;
-
-  /// Per-query event telemetry: every executed request is recorded into
-  /// the process-wide flight recorder (obs::EventLog::Default()) and
-  /// rolling window. Also gated at runtime by obs::SetEnabled and
-  /// obs::SetEventsEnabled.
-  bool record_events = true;
 
   /// Slow-query log: queries slower than this capture their full span
   /// tree and are offered to obs::SlowQueryLog::Default(), which retains
@@ -265,19 +261,14 @@ class QueryEngine {
   Result<std::future<Result<QueryResponse>>> Submit(QueryRequest request);
 
   /// Submits every request, waits for all of them, and returns responses
-  /// in request order. Workspaces are reused across the batch through the
-  /// engine's pool instead of being allocated per query.
+  /// in request order.
   std::vector<Result<QueryResponse>> SubmitBatch(
       std::span<const QueryRequest> requests);
 
-  /// Top-k for every vertex (the paper's all-pairs mode), batched over
-  /// the engine's pool with pooled workspaces. rankings[v] is vertex v's
-  /// ranking. Bypasses the result cache.
-  std::vector<std::vector<ScoredVertex>> QueryAll();
-
-  /// Partitioned all-pairs (the M-machines deployment of §2.2) through
-  /// the engine. `options.pool` is ignored — the engine's own pool runs
-  /// the shard. Returns InvalidArgument for a bad partition spec.
+  /// Top-k for every vertex of a partition (the paper's all-vertices mode
+  /// and its M-machines deployment, §2.2) through the engine, bypassing
+  /// the result cache. `options.pool` is ignored — the engine's own pool
+  /// runs the shard. Returns InvalidArgument for a bad partition spec.
   Result<AllPairsShard> RunAllPairs(const AllPairsOptions& options);
 
   /// Crash-safe partitioned all-pairs straight to a TSV file (see
@@ -335,9 +326,6 @@ class QueryEngine {
   const DirectedGraph& graph() const { return graph_; }
 
  private:
-  struct Workspace;
-  class WorkspaceLease;
-
   QueryEngine(const DirectedGraph& graph, EngineOptions options);
 
   static Result<std::unique_ptr<QueryEngine>> Finish(
@@ -353,8 +341,8 @@ class QueryEngine {
   Result<QueryResponse> ExecuteStages(const QueryRequest& request,
                                       double queue_seconds);
   void RunGroup(const QueryRequest& request, const SearcherBackend& backend,
-                Workspace& workspace, const QueryOverrides& overrides,
-                uint32_t effective_k, QueryResponse& response);
+                const QueryOverrides& overrides, uint32_t effective_k,
+                QueryResponse& response);
 
   /// Returns the built backend of `kind`, creating it under
   /// `backend_mutex_` on first use. `pool` runs the build when non-null
@@ -365,11 +353,6 @@ class QueryEngine {
   SearcherBackend& GetOrCreateBackend(BackendKind kind,
                                       ThreadPool* pool = nullptr) const
       SIMRANK_EXCLUDES(backend_mutex_);
-
-  std::unique_ptr<Workspace> AcquireWorkspace()
-      SIMRANK_EXCLUDES(workspace_mutex_);
-  void ReleaseWorkspace(std::unique_ptr<Workspace> workspace)
-      SIMRANK_EXCLUDES(workspace_mutex_);
 
   const DirectedGraph& graph_;
   EngineOptions options_;
@@ -392,12 +375,6 @@ class QueryEngine {
   std::unique_ptr<AdmissionController> admission_;
 
   std::atomic<size_t> queued_{0};
-
-  Mutex workspace_mutex_;
-  std::vector<std::unique_ptr<Workspace>> workspace_freelist_
-      SIMRANK_GUARDED_BY(workspace_mutex_);
-  /// Set once in Finish() before the engine is published; read-only after.
-  size_t max_pooled_workspaces_;
 
   /// Declared last: destroyed first, so the pool drains all tasks while
   /// the members they touch are still alive.

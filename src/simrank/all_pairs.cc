@@ -64,43 +64,25 @@ class ProgressReporter {
 };
 
 // Runs queries for shard-local indices [lo, hi), writing the i-th ranking
-// to out[i - lo]. `out` must already have hi - lo entries. Per-query
-// stats sum into a chunk-local accumulator first; the shared total takes
-// the mutex once per chunk. One workspace per chunk (workspaces reference
-// the graph and must not outlive this call, so no thread-local caching).
+// to out[i - lo]. `out` must already have hi - lo entries. Queries borrow
+// workspaces from the searcher's freelist; ParallelFor waits only on this
+// call's chunks, so the pool may be shared with unrelated work.
 void RunIndexRange(const TopKSearcher& searcher, uint32_t partition,
                    uint32_t num_partitions, size_t lo, size_t hi,
                    ThreadPool* pool, ProgressReporter& progress,
                    std::vector<std::vector<ScoredVertex>>& out,
                    QueryStats& stats) {
   Mutex stats_mutex;
-  auto run_range = [&](size_t range_lo, size_t range_hi) {
-    QueryWorkspace workspace(searcher);
-    QueryStats chunk_stats;
-    for (size_t i = range_lo; i < range_hi; ++i) {
-      const Vertex v = ShardVertex(partition, num_partitions, i);
-      QueryResult result = searcher.Query(v, workspace);
-      chunk_stats += result.stats;
-      out[i - lo] = std::move(result.top);
-      progress.OnCompleted();
+  ParallelFor(pool, lo, hi, [&](size_t i) {
+    QueryResult result =
+        searcher.Query(ShardVertex(partition, num_partitions, i));
+    out[i - lo] = std::move(result.top);
+    {
+      MutexLock lock(stats_mutex);
+      stats += result.stats;
     }
-    MutexLock lock(stats_mutex);
-    stats += chunk_stats;
-  };
-  const size_t count = hi - lo;
-  if (pool == nullptr || pool->num_threads() == 1 || count == 0) {
-    run_range(lo, hi);
-    return;
-  }
-  const size_t num_chunks = std::min<size_t>(count, pool->num_threads() * 4);
-  const size_t chunk = (count + num_chunks - 1) / num_chunks;
-  for (size_t range_lo = lo; range_lo < hi; range_lo += chunk) {
-    const size_t range_hi = std::min(range_lo + chunk, hi);
-    pool->Submit([&run_range, range_lo, range_hi] {
-      run_range(range_lo, range_hi);
-    });
-  }
-  pool->Wait();
+    progress.OnCompleted();
+  });
 }
 
 void AppendRankingTsv(AtomicFileWriter& writer, Vertex query,

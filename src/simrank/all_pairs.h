@@ -24,7 +24,8 @@ struct AllPairsOptions {
   /// v % num_partitions == partition.
   uint32_t partition = 0;
   uint32_t num_partitions = 1;
-  /// Thread pool for intra-run parallelism; may be null (serial).
+  /// Thread pool for intra-run parallelism; may be null (serial). The
+  /// run waits only on its own tasks, so the pool may be shared.
   ThreadPool* pool = nullptr;
   /// Progress callback. Delivery contract:
   ///  - invoked exactly once for every multiple of `progress_interval`

@@ -70,10 +70,4 @@ QueryResult ExactBackend::Query(Vertex query,
   return result;
 }
 
-double ExactBackend::Pair(Vertex u, Vertex v) const {
-  SIMRANK_CHECK(linear_ != nullptr);
-  if (u == v) return 1.0;
-  return linear_->SinglePair(u, v);
-}
-
 }  // namespace simrank

@@ -10,10 +10,10 @@
 namespace simrank {
 
 /// The exact linear-formulation oracle (simrank/linear.h) promoted to a
-/// real serving backend: single-source costs O(T^2 m) sparse propagation
-/// and pair O(T m), so on small graphs it beats sampling outright — zero
-/// variance, zero preprocess memory — and SelectBackend defaults graphs
-/// with n + m <= 65,536 here. Build() only resolves the diagonal
+/// real serving backend: single-source costs O(T^2 m) sparse propagation,
+/// so on small graphs it beats sampling outright — zero variance, zero
+/// preprocess memory — and SelectBackend defaults graphs with n + m <=
+/// 65,536 here. Build() only resolves the diagonal
 /// correction (uniform, or the fixed-point estimate when
 /// options.estimate_diagonal is set); there is no index to store or
 /// serialize.
@@ -31,7 +31,6 @@ class ExactBackend : public SearcherBackend {
 
   QueryResult Query(Vertex query,
                     const QueryOverrides& overrides = {}) const override;
-  double Pair(Vertex u, Vertex v) const override;
 
   const DirectedGraph& graph() const override { return graph_; }
   const SearchOptions& options() const override { return options_; }

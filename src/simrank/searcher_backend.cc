@@ -3,13 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <memory>
-#include <vector>
 
-#include "obs/span.h"
 #include "simrank/backend_exact.h"
 #include "simrank/backend_mc.h"
-#include "util/top_k.h"
-#include "util/timer.h"
 
 namespace simrank {
 
@@ -56,35 +52,6 @@ std::optional<BackendChoice> ParseBackendChoice(std::string_view name) {
     return static_cast<BackendChoice>(*kind);
   }
   return std::nullopt;
-}
-
-QueryResult SearcherBackend::QueryGroup(std::span<const Vertex> group,
-                                        const QueryOverrides& overrides) const {
-  obs::ScopedSpan group_span("query_group");
-  WallTimer timer;
-  QueryResult result;
-  // Score-sum voting over per-member rankings, mirroring the reference
-  // semantics of TopKSearcher::QueryGroup (dense accumulator + touched
-  // list, members never recommend themselves, ties broken by vertex id
-  // through the shared TopKCollector).
-  std::vector<double> votes(graph().NumVertices(), 0.0);
-  std::vector<Vertex> touched;
-  for (Vertex member : group) {
-    const QueryResult member_result = Query(member, overrides);
-    result.stats += member_result.stats;
-    for (const ScoredVertex& entry : member_result.top) {
-      if (votes[entry.vertex] == 0.0) touched.push_back(entry.vertex);
-      votes[entry.vertex] += entry.score;
-    }
-  }
-  for (Vertex member : group) votes[member] = 0.0;
-  TopKCollector collector(overrides.k.value_or(options().k));
-  for (Vertex v : touched) {
-    if (votes[v] > 0.0) collector.Push(v, votes[v]);
-  }
-  result.top = collector.TakeSorted();
-  result.stats.seconds = timer.ElapsedSeconds();
-  return result;
 }
 
 std::unique_ptr<SearcherBackend> MakeBackend(BackendKind kind,

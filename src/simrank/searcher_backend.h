@@ -3,19 +3,16 @@
 
 // The pluggable query-serving backend contract.
 //
-// The engine originally hard-wired one algorithm — the paper's
-// Monte-Carlo walks + bound pruning (TopKSearcher). SearcherBackend
-// extracts the backend-agnostic surface of that class (preprocess,
-// single-source top-k, pair score, group query, memory reporting) so
-// that the exact linear-formulation oracle (simrank/backend_exact.h) and
-// future PRSim/spectral/sharded points plug into service::QueryEngine
-// behind one interface.
-//
-// Every backend answers the same question ("vertices most similar to u
-// under truncated SimRank, scores >= threshold") with a different
-// space/time/accuracy tradeoff; SelectBackend() is the size-driven
-// default choosing among them (overridable per engine and per request at
-// the service layer).
+// A backend answers one question, single-source top-k ("vertices most
+// similar to u under truncated SimRank, scores > 0 and >= threshold"),
+// with its own space/time/accuracy tradeoff: the paper's Monte-Carlo
+// walks + bound pruning (simrank/backend_mc.h) or the exact
+// linear-formulation oracle (simrank/backend_exact.h). What is composed
+// from that query exists once, outside the backends: group voting,
+// caching, deadlines and concurrency in service::QueryEngine, the
+// all-vertices sweep in simrank/all_pairs.h. SelectBackend() is the
+// size-driven default choosing among them (overridable per engine and per
+// request at the service layer).
 
 #include <cstdint>
 #include <memory>
@@ -73,8 +70,8 @@ std::optional<BackendChoice> ParseBackendChoice(std::string_view name);
 
 /// One query-serving algorithm over a fixed graph. Implementations are
 /// constructed unbuilt, preprocess in Build() (idempotent), and must
-/// answer Query/QueryGroup/Pair concurrently from any number of threads
-/// once built. The graph must outlive the backend.
+/// answer Query concurrently from any number of threads once built. The
+/// graph must outlive the backend.
 class SearcherBackend {
  public:
   virtual ~SearcherBackend() = default;
@@ -92,22 +89,12 @@ class SearcherBackend {
   /// Bytes held by the backend's preprocess structures (0 when none).
   virtual uint64_t MemoryBytes() const = 0;
 
-  /// Best-first top-k ranking of `query` (scores >= threshold). Requires
-  /// built(). Thread-safe. `overrides` applies the per-request runtime
-  /// knobs; backends ignore overrides they have no analog for
+  /// Best-first top-k ranking of `query` (scores > 0 and >= threshold).
+  /// Requires built(). Thread-safe. `overrides` applies the per-request
+  /// runtime knobs; backends ignore overrides they have no analog for
   /// (refine_walks on the exact backend).
   virtual QueryResult Query(Vertex query,
                             const QueryOverrides& overrides = {}) const = 0;
-
-  /// Aggregated similarity to a set of vertices: per-member top-k queries
-  /// combined by score-sum voting, members excluded from the answer (the
-  /// recommendation pattern of TopKSearcher::QueryGroup, which remains
-  /// the reference semantics for every backend).
-  virtual QueryResult QueryGroup(std::span<const Vertex> group,
-                                 const QueryOverrides& overrides = {}) const;
-
-  /// Single-pair score s(u, v). Thread-safe; requires built().
-  virtual double Pair(Vertex u, Vertex v) const = 0;
 
   virtual const DirectedGraph& graph() const = 0;
   virtual const SearchOptions& options() const = 0;

@@ -110,16 +110,19 @@ QueryWorkspace::QueryWorkspace(const TopKSearcher& searcher)
   arena_.Reserve(QueryArenaBudget(searcher.options()));
 }
 
-Status QueryLimits::Validate() const {
+Status SearchOptions::Validate() const {
+  if (!(simrank.decay > 0.0 && simrank.decay < 1.0)) {
+    return Status::InvalidArgument("decay must be in (0, 1), got " +
+                                   std::to_string(simrank.decay));
+  }
+  if (simrank.num_steps < 1) {
+    return Status::InvalidArgument("num_steps must be >= 1");
+  }
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
   if (!(threshold >= 0.0)) {  // negation also rejects NaN
     return Status::InvalidArgument("threshold must be >= 0, got " +
                                    std::to_string(threshold));
   }
-  return Status::OK();
-}
-
-Status McTuning::Validate() const {
   if (estimate_walks < 1) {
     return Status::InvalidArgument("estimate_walks must be >= 1");
   }
@@ -144,18 +147,6 @@ Status McTuning::Validate() const {
         std::to_string(adaptive_margin));
   }
   return Status::OK();
-}
-
-Status SearchOptions::Validate() const {
-  if (!(simrank.decay > 0.0 && simrank.decay < 1.0)) {
-    return Status::InvalidArgument("decay must be in (0, 1), got " +
-                                   std::to_string(simrank.decay));
-  }
-  if (simrank.num_steps < 1) {
-    return Status::InvalidArgument("num_steps must be >= 1");
-  }
-  SIMRANK_RETURN_IF_ERROR(limits().Validate());
-  return mc().Validate();
 }
 
 TopKSearcher::TopKSearcher(const DirectedGraph& graph, SearchOptions options)
@@ -403,7 +394,8 @@ QueryResult TopKSearcher::Query(Vertex query, QueryWorkspace& workspace,
     ++stats.refined;
     const double score = estimator_->EstimateAgainstProfile(
         profile, v, refine_walks, rng, &workspace.arena_);
-    if (score >= threshold) collector.Push(v, score);
+    // A zero estimate means no walk met: not an answer, even at theta = 0.
+    if (score > 0.0 && score >= threshold) collector.Push(v, score);
   };
 
   {
@@ -422,73 +414,6 @@ QueryResult TopKSearcher::Query(Vertex query, QueryWorkspace& workspace,
   stats.seconds = timer.ElapsedSeconds();
   FlushQueryMetrics(stats, refine_walks, options_);
   return result;
-}
-
-QueryResult TopKSearcher::QueryGroup(std::span<const Vertex> group,
-                                     const QueryOverrides& overrides) const {
-  std::unique_ptr<QueryWorkspace> workspace = AcquireWorkspace();
-  QueryResult result = QueryGroup(group, *workspace, overrides);
-  ReleaseWorkspace(std::move(workspace));
-  return result;
-}
-
-QueryResult TopKSearcher::QueryGroup(std::span<const Vertex> group,
-                                     QueryWorkspace& workspace,
-                                     const QueryOverrides& overrides) const {
-  obs::ScopedSpan group_span("query_group");
-  WallTimer timer;
-  QueryResult result;
-  // Aggregate scores sparsely: dense accumulator + touched list.
-  std::vector<double>& votes = workspace.group_votes_;
-  votes.resize(graph_.NumVertices(), 0.0);
-  std::vector<Vertex> touched;
-  for (Vertex member : group) {
-    const QueryResult member_result = Query(member, workspace, overrides);
-    result.stats += member_result.stats;
-    for (const ScoredVertex& entry : member_result.top) {
-      if (votes[entry.vertex] == 0.0) touched.push_back(entry.vertex);
-      votes[entry.vertex] += entry.score;
-    }
-  }
-  // Group members never recommend themselves.
-  for (Vertex member : group) votes[member] = 0.0;
-  TopKCollector collector(overrides.k.value_or(options_.k));
-  for (Vertex v : touched) {
-    if (votes[v] > 0.0) collector.Push(v, votes[v]);
-  }
-  for (Vertex v : touched) votes[v] = 0.0;  // leave the workspace clean
-  result.top = collector.TakeSorted();
-  result.stats.seconds = timer.ElapsedSeconds();
-  return result;
-}
-
-std::vector<std::vector<ScoredVertex>> TopKSearcher::QueryAll(
-    ThreadPool* pool) const {
-  const Vertex n = graph_.NumVertices();
-  std::vector<std::vector<ScoredVertex>> rankings(n);
-  if (pool == nullptr || pool->num_threads() == 1 || n == 0) {
-    QueryWorkspace workspace(*this);
-    for (Vertex u = 0; u < n; ++u) {
-      rankings[u] = Query(u, workspace).top;
-    }
-    return rankings;
-  }
-  // One workspace per chunk: workspaces must not outlive this call (they
-  // reference the graph), so no thread-local caching. The O(n) workspace
-  // construction amortizes over the chunk's n / (4 * threads) queries.
-  const size_t num_chunks = std::min<size_t>(n, pool->num_threads() * 4);
-  const size_t chunk = (n + num_chunks - 1) / num_chunks;
-  for (size_t lo = 0; lo < n; lo += chunk) {
-    const size_t hi = std::min<size_t>(lo + chunk, n);
-    pool->Submit([this, lo, hi, &rankings] {
-      QueryWorkspace workspace(*this);
-      for (size_t u = lo; u < hi; ++u) {
-        rankings[u] = Query(static_cast<Vertex>(u), workspace).top;
-      }
-    });
-  }
-  pool->Wait();
-  return rankings;
 }
 
 }  // namespace simrank

@@ -21,11 +21,13 @@
 
 namespace simrank {
 
-/// Backend-agnostic query limits: what any SearcherBackend must honor,
-/// independent of how it computes scores. The per-request overridable
-/// subset of these (k, threshold) is QueryOverrides; deadlines live on
-/// service::QueryRequest because they are serving-layer concerns.
-struct QueryLimits {
+/// Options of the similarity search engine. Defaults reproduce the
+/// paper's experimental setting (§8): c = 0.6, T = 11, k = 20, theta =
+/// 0.01, R = 100 for scoring and Algorithm 3, R = 10000 for Algorithm 2,
+/// P = 10, Q = 5, adaptive sampling 10 -> 100. The exact backend reads
+/// only k, threshold, simrank, estimate_diagonal and diagonal_options;
+/// everything else tunes the Monte-Carlo search.
+struct SearchOptions {
   /// Number of results per query.
   uint32_t k = 20;
 
@@ -35,20 +37,9 @@ struct QueryLimits {
 
   /// Search horizon d_max: vertices farther (undirected) than this from the
   /// query are not considered (§6: "if d(u,v) > dmax then s(u,v) is too
-  /// small to take into account"; the paper sets dmax = T). Only the
-  /// distance-pruning (Monte-Carlo) backend consults it.
+  /// small to take into account"; the paper sets dmax = T).
   uint32_t max_distance = 11;
 
-  /// Range-checks every field, returning InvalidArgument naming the
-  /// offending field.
-  Status Validate() const;
-};
-
-/// Monte-Carlo backend tuning: sample counts, pruning-bound toggles and
-/// the adaptive-sampling schedule. Other backends ignore every field
-/// here; per-backend Validate() keeps their error messages scoped to the
-/// knobs they actually read.
-struct McTuning {
   // --- pruning ingredients (each can be ablated independently) ---
   bool use_distance_bound = true;  ///< c^(ceil(d/2)) bound
   bool use_l1_bound = true;        ///< beta(u, d), Algorithm 2
@@ -77,22 +68,6 @@ struct McTuning {
   /// absorbs the noise of the small-R pass.
   double adaptive_margin = 0.3;
 
-  /// Range-checks every field, returning InvalidArgument naming the
-  /// offending field.
-  Status Validate() const;
-};
-
-/// Options of the similarity search engine. Defaults reproduce the
-/// paper's experimental setting (§8): c = 0.6, T = 11, k = 20, theta =
-/// 0.01, R = 100 for scoring and Algorithm 3, R = 10000 for Algorithm 2,
-/// P = 10, Q = 5, adaptive sampling 10 -> 100.
-///
-/// Structurally this is the backend-agnostic QueryLimits plus the
-/// Monte-Carlo tuning block. Both are *base classes*, so every pre-split
-/// field keeps its flat spelling (`options.k`, `options.refine_walks`,
-/// ...) — existing callers build unchanged — while backends slice out
-/// just the part they consume (`options.limits()`, `options.mc()`).
-struct SearchOptions : QueryLimits, McTuning {
   SimRankParams simrank;
 
   IndexParams index_params;
@@ -111,22 +86,16 @@ struct SearchOptions : QueryLimits, McTuning {
   /// derived from it deterministically.
   uint64_t seed = 42;
 
-  /// The backend-agnostic slice of these options.
-  const QueryLimits& limits() const { return *this; }
-  /// The Monte-Carlo tuning slice of these options.
-  const McTuning& mc() const { return *this; }
-
-  /// Range-checks every user-tunable field (decay, steps, the QueryLimits,
-  /// the Monte-Carlo tuning) and returns InvalidArgument naming the
-  /// offending field instead of aborting. This is the entry-point
-  /// validation used by service::QueryEngine::Create; the TopKSearcher
-  /// constructor keeps SIMRANK_CHECK only as a last-resort internal
-  /// invariant for callers that bypass the engine.
+  /// Range-checks every user-tunable field and returns InvalidArgument
+  /// naming the offending field instead of aborting. This is the
+  /// entry-point validation used by service::QueryEngine::Create; the
+  /// TopKSearcher constructor keeps SIMRANK_CHECK only as a last-resort
+  /// internal invariant for callers that bypass the engine.
   Status Validate() const;
 };
 
 /// Per-query runtime knobs, applied on top of the searcher's SearchOptions
-/// for one Query/QueryGroup call. Only knobs that do not participate in the
+/// for one Query call. Only knobs that do not participate in the
 /// preprocess (gamma table, candidate index) are overridable; everything
 /// else is fixed at construction. The serving layer uses this for
 /// per-request k/threshold and for load-shed degradation (refine_walks
@@ -152,7 +121,7 @@ struct QueryStats {
   uint64_t refined = 0;
   double seconds = 0.0;
 
-  /// Field-wise accumulation (group queries, all-pairs shards, bench
+  /// Field-wise accumulation (group requests, all-pairs shards, bench
   /// loops). `seconds` adds too: the sum is total query time, which is
   /// cumulative-CPU-like when members ran on several threads.
   QueryStats& operator+=(const QueryStats& other) {
@@ -170,7 +139,7 @@ struct QueryStats {
 
 /// Result of one top-k query.
 struct QueryResult {
-  /// Best-first ranking (at most k entries, scores >= threshold).
+  /// Best-first ranking (at most k entries, scores > 0 and >= threshold).
   std::vector<ScoredVertex> top;
   QueryStats stats;
 };
@@ -191,8 +160,6 @@ class QueryWorkspace {
   BfsWorkspace bfs_;
   std::vector<uint32_t> marks_;
   uint32_t epoch_ = 0;
-  /// Lazily sized score accumulator for QueryGroup.
-  std::vector<double> group_votes_;
   /// Per-query bump arena backing the walk profile's tables, the L1-bound
   /// walk scratch and the candidate walks. Reset at the start of every
   /// Query, so a recycled workspace reaches its high-water mark on the
@@ -242,9 +209,10 @@ class TopKSearcher {
   const SearchOptions& options() const { return options_; }
   const std::vector<double>& diagonal() const { return diagonal_; }
 
-  /// Answers a top-k query. Requires BuildIndex() first when the options
-  /// enable the index or the L2 bound. Thread-safe: concurrent queries may
-  /// share the searcher as long as each uses its own workspace.
+  /// Answers a top-k query: the best k vertices scoring > 0 and >=
+  /// threshold. Requires BuildIndex() first when the options enable the
+  /// index or the L2 bound. Thread-safe: concurrent queries may share
+  /// the searcher as long as each uses its own workspace.
   /// `overrides` applies per-query runtime knobs (k, threshold,
   /// refine_walks) without touching the shared options.
   QueryResult Query(Vertex query, QueryWorkspace& workspace,
@@ -253,27 +221,6 @@ class TopKSearcher {
   /// Convenience overload: borrows a workspace from the internal freelist
   /// (no O(n) allocation after the first call), so it is loop-safe.
   QueryResult Query(Vertex query, const QueryOverrides& overrides = {}) const;
-
-  /// Aggregated similarity to a *set* of vertices: runs a top-k query per
-  /// member and ranks candidates by the sum of their scores across
-  /// members, excluding the members themselves. This is the standard
-  /// recommendation/link-prediction pattern ("items similar to the ones
-  /// this user already has"). Stats are summed over member queries.
-  QueryResult QueryGroup(std::span<const Vertex> group,
-                         QueryWorkspace& workspace,
-                         const QueryOverrides& overrides = {}) const;
-
-  /// Convenience overload: borrows a workspace from the internal freelist
-  /// (no O(n) allocation after the first call), so it is loop-safe.
-  QueryResult QueryGroup(std::span<const Vertex> group,
-                         const QueryOverrides& overrides = {}) const;
-
-  /// Top-k for every vertex (the all-pairs mode of §2.2), parallelized over
-  /// query vertices. Returns one ranking per vertex. This is the bare
-  /// kernel loop; service::QueryEngine::QueryAll is the serving-layer
-  /// equivalent that reuses pooled workspaces and reports shard stats.
-  std::vector<std::vector<ScoredVertex>> QueryAll(
-      ThreadPool* pool = nullptr) const;
 
   /// Number of workspaces currently parked in the internal freelist
   /// (exposed for tests of the convenience-overload recycling).

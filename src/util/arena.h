@@ -16,7 +16,7 @@
 // WalkCounter::TotalGrows() catches counter presizing bugs.
 //
 // Not thread-safe: one arena per workspace, one workspace per in-flight
-// query (the workspace freelists already guarantee exclusivity).
+// query (the searcher's workspace freelist already guarantees exclusivity).
 
 #include <atomic>
 #include <cstddef>

@@ -9,15 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include "test_helpers.h"
 #include "util/atomic_file.h"
 #include "util/fault_injection.h"
 
 namespace simrank {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 std::string Slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -37,7 +34,7 @@ class AtomicFileTest : public ::testing::Test {
 };
 
 TEST_F(AtomicFileTest, CommitWritesStagedContent) {
-  const std::string path = TempPath("atomic_basic.txt");
+  const std::string path = testing::ScratchPath("atomic_basic.txt");
   std::remove(path.c_str());
   AtomicFileWriter writer(path);
   writer.Append("hello ");
@@ -52,7 +49,7 @@ TEST_F(AtomicFileTest, CommitWritesStagedContent) {
 }
 
 TEST_F(AtomicFileTest, AppendValueWritesRawBytes) {
-  const std::string path = TempPath("atomic_value.bin");
+  const std::string path = testing::ScratchPath("atomic_value.bin");
   AtomicFileWriter writer(path);
   const uint32_t value = 0x01020304;
   writer.AppendValue(value);
@@ -66,7 +63,7 @@ TEST_F(AtomicFileTest, AppendValueWritesRawBytes) {
 }
 
 TEST_F(AtomicFileTest, EmptyCommitCreatesEmptyFile) {
-  const std::string path = TempPath("atomic_empty.txt");
+  const std::string path = testing::ScratchPath("atomic_empty.txt");
   AtomicFileWriter writer(path);
   ASSERT_TRUE(writer.Commit().ok());
   EXPECT_TRUE(Exists(path));
@@ -75,7 +72,7 @@ TEST_F(AtomicFileTest, EmptyCommitCreatesEmptyFile) {
 }
 
 TEST_F(AtomicFileTest, CommitReplacesExistingFileAtomically) {
-  const std::string path = TempPath("atomic_replace.txt");
+  const std::string path = testing::ScratchPath("atomic_replace.txt");
   ASSERT_TRUE(AtomicWriteFile(path, "old content").ok());
   ASSERT_TRUE(AtomicWriteFile(path, "new").ok());
   EXPECT_EQ(Slurp(path), "new");
@@ -93,7 +90,7 @@ TEST_F(AtomicFileTest, MissingDirectoryFailsFastWithIoError) {
 }
 
 TEST_F(AtomicFileTest, TransientInjectedFailuresAreRetriedAway) {
-  const std::string path = TempPath("atomic_retry.txt");
+  const std::string path = testing::ScratchPath("atomic_retry.txt");
   std::remove(path.c_str());
   fault::FaultInjector& injector = fault::FaultInjector::Default();
   fault::SiteConfig config;
@@ -110,7 +107,7 @@ TEST_F(AtomicFileTest, TransientInjectedFailuresAreRetriedAway) {
 }
 
 TEST_F(AtomicFileTest, ExhaustedRetriesSurfaceTheErrorAndLeaveTargetAlone) {
-  const std::string path = TempPath("atomic_exhausted.txt");
+  const std::string path = testing::ScratchPath("atomic_exhausted.txt");
   ASSERT_TRUE(AtomicWriteFile(path, "previous durable state").ok());
   fault::FaultInjector& injector = fault::FaultInjector::Default();
   fault::SiteConfig config;
@@ -131,7 +128,7 @@ TEST_F(AtomicFileTest, ExhaustedRetriesSurfaceTheErrorAndLeaveTargetAlone) {
 }
 
 TEST_F(AtomicFileTest, RenameFaultLeavesOldContentVisible) {
-  const std::string path = TempPath("atomic_rename_fault.txt");
+  const std::string path = testing::ScratchPath("atomic_rename_fault.txt");
   ASSERT_TRUE(AtomicWriteFile(path, "v1").ok());
   fault::FaultInjector& injector = fault::FaultInjector::Default();
   fault::SiteConfig config;
@@ -148,7 +145,7 @@ TEST_F(AtomicFileTest, RenameFaultLeavesOldContentVisible) {
 }
 
 TEST_F(AtomicFileTest, NoSyncOptionStillCommitsAtomically) {
-  const std::string path = TempPath("atomic_nosync.txt");
+  const std::string path = testing::ScratchPath("atomic_nosync.txt");
   AtomicFileWriter::Options options;
   options.sync = false;
   ASSERT_TRUE(AtomicWriteFile(path, "scratch", options).ok());

@@ -1,8 +1,8 @@
 // The SearcherBackend contract, enforced over every registered backend:
 // each implementation must agree with the exact linear-formulation oracle
 // within its advertised accuracy, honor the query limits and survive the
-// degenerate graphs. The Monte-Carlo index round trip is covered by
-// test_simrank_serialization.cc.
+// degenerate graphs; the engine's group voting composes any of them. The
+// Monte-Carlo index round trip is covered by test_simrank_serialization.cc.
 
 #include <memory>
 #include <string>
@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "service/query_engine.h"
 #include "simrank/backend_exact.h"
 #include "simrank/backend_mc.h"
 #include "simrank/diagonal.h"
@@ -60,6 +61,15 @@ class BackendContractTest : public ::testing::TestWithParam<BackendKind> {
     return LinearSimRank(
         graph, options.simrank,
         UniformDiagonal(graph.NumVertices(), options.simrank.decay));
+  }
+
+  /// An engine serving this backend with the contract options.
+  service::EngineOptions EngineOptionsFor() const {
+    service::EngineOptions options;
+    options.search = ContractOptions();
+    options.backend = static_cast<BackendChoice>(GetParam());
+    options.num_threads = 1;
+    return options;
   }
 
   DirectedGraph graph_;
@@ -131,21 +141,13 @@ TEST_P(BackendContractTest, TopResultIsNearOracleBest) {
   }
 }
 
-TEST_P(BackendContractTest, PairMatchesExactOracle) {
-  std::unique_ptr<SearcherBackend> backend = MakeBuilt(graph_);
-  const LinearSimRank oracle = Oracle(graph_);
-  EXPECT_EQ(backend->Pair(9, 9), 1.0);
-  for (const auto& [u, v] : std::vector<std::pair<Vertex, Vertex>>{
-           {0, 1}, {3, 44}, {10, 11}, {70, 7}}) {
-    EXPECT_NEAR(backend->Pair(u, v), oracle.SinglePair(u, v), Tolerance())
-        << "pair (" << u << ", " << v << ")";
-  }
-}
-
 TEST_P(BackendContractTest, GroupQueryAggregatesPerMemberRankings) {
   std::unique_ptr<SearcherBackend> backend = MakeBuilt(graph_);
   const std::vector<Vertex> group = {1, 2, 3};
-  const QueryResult result = backend->QueryGroup(group);
+  auto engine = service::QueryEngine::Create(graph_, EngineOptionsFor());
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  auto result = (*engine)->Query(service::QueryRequest::ForGroup(group));
+  ASSERT_TRUE(result.ok());
   // Reference semantics: score-sum voting over the members' individual
   // rankings, members never recommended.
   std::unordered_map<Vertex, double> votes;
@@ -155,8 +157,8 @@ TEST_P(BackendContractTest, GroupQueryAggregatesPerMemberRankings) {
     }
   }
   for (Vertex member : group) votes.erase(member);
-  EXPECT_LE(result.top.size(), ContractOptions().k);
-  for (const ScoredVertex& entry : result.top) {
+  EXPECT_LE(result->top.size(), ContractOptions().k);
+  for (const ScoredVertex& entry : result->top) {
     for (Vertex member : group) EXPECT_NE(entry.vertex, member);
     const auto it = votes.find(entry.vertex);
     ASSERT_NE(it, votes.end()) << "vote for " << entry.vertex;
@@ -168,7 +170,6 @@ TEST_P(BackendContractTest, SingletonGraph) {
   const DirectedGraph graph = testing::GraphFromEdges(1, {});
   std::unique_ptr<SearcherBackend> backend = MakeBuilt(graph);
   EXPECT_TRUE(backend->Query(0).top.empty());
-  EXPECT_EQ(backend->Pair(0, 0), 1.0);
 }
 
 TEST_P(BackendContractTest, DisconnectedVerticesScoreZero) {
@@ -176,8 +177,36 @@ TEST_P(BackendContractTest, DisconnectedVerticesScoreZero) {
   const DirectedGraph graph = testing::GraphFromEdges(4, {{0, 1}, {1, 0}});
   std::unique_ptr<SearcherBackend> backend = MakeBuilt(graph);
   EXPECT_TRUE(backend->Query(2).top.empty());
-  EXPECT_EQ(backend->Pair(2, 3), 0.0);
-  EXPECT_EQ(backend->Pair(0, 2), 0.0);
+  EXPECT_TRUE(backend->Query(3).top.empty());
+}
+
+TEST_P(BackendContractTest, ZeroScoresAreNotAnswers) {
+  // At threshold 0 every vertex the search reaches passes the threshold,
+  // so only the score > 0 rule keeps unrelated vertices out.
+  const DirectedGraph graph =
+      testing::GraphFromEdges(6, {{4, 0}, {5, 2}, {5, 1}, {0, 3}, {2, 3}});
+  SearchOptions options = ContractOptions();
+  options.threshold = 0.0;
+  options.use_index = false;
+  std::unique_ptr<SearcherBackend> backend = MakeBuilt(graph, options);
+  for (Vertex u : {Vertex{0}, Vertex{1}}) {
+    for (const ScoredVertex& entry : backend->Query(u).top) {
+      EXPECT_GT(entry.score, 0.0) << "query " << u << " lists "
+                                  << entry.vertex;
+    }
+  }
+  service::EngineOptions engine_options = EngineOptionsFor();
+  engine_options.search = options;
+  auto engine = service::QueryEngine::Create(graph, engine_options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  auto group = (*engine)->Query(service::QueryRequest::ForGroup({0, 1}));
+  ASSERT_TRUE(group.ok());
+  size_t listed = 0;
+  for (const ScoredVertex& entry : group->top) {
+    EXPECT_GT(entry.score, 0.0);
+    if (entry.vertex == 2) ++listed;
+  }
+  EXPECT_EQ(listed, 1u);
 }
 
 TEST_P(BackendContractTest, QueryOverridesApply) {
@@ -235,16 +264,6 @@ TEST(MonteCarloBackendGoldenTest, BitIdenticalToDirectSearcher) {
       EXPECT_EQ(direct[i].vertex, adapted[i].vertex) << u;
       EXPECT_EQ(direct[i].score, adapted[i].score) << u;
     }
-  }
-  const std::vector<Vertex> group = {4, 8, 15};
-  const std::vector<ScoredVertex> direct_group =
-      searcher.QueryGroup(group).top;
-  const std::vector<ScoredVertex> adapted_group =
-      backend.QueryGroup(group).top;
-  ASSERT_EQ(direct_group.size(), adapted_group.size());
-  for (size_t i = 0; i < direct_group.size(); ++i) {
-    EXPECT_EQ(direct_group[i].vertex, adapted_group[i].vertex);
-    EXPECT_EQ(direct_group[i].score, adapted_group[i].score);
   }
 }
 

@@ -54,7 +54,7 @@ class CheckpointResumeTest : public ::testing::Test {
   void TearDown() override { fault::FaultInjector::Default().Clear(); }
 
   std::string Path(const std::string& name) {
-    return ::testing::TempDir() + "/" + name;
+    return testing::ScratchPath(name);
   }
 
   DirectedGraph graph_;
@@ -102,7 +102,7 @@ AllPairsCheckpoint SampleCheckpoint() {
 
 TEST_F(CheckpointResumeTest, ManifestRoundTrips) {
   const std::string dir = Path("ckpt_roundtrip");
-  ::mkdir(dir.c_str(), 0777);  // may already exist from a previous run
+  ::mkdir(dir.c_str(), 0777);
   const AllPairsCheckpoint written = SampleCheckpoint();
   ASSERT_TRUE(WriteCheckpoint(written, dir).ok());
   Result<AllPairsCheckpoint> read = ReadCheckpoint(dir);

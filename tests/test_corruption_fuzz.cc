@@ -25,10 +25,6 @@
 namespace simrank {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
 std::string Slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream out;
@@ -68,7 +64,7 @@ void FuzzFile(const std::string& bytes, const std::string& path, LoadFn load,
 
 TEST(CorruptionFuzzTest, GraphBinarySurvivesTruncationAndFlips) {
   const DirectedGraph graph = testing::SmallRandomGraph(24, 96, 3);
-  const std::string path = TempPath("fuzz_graph.bin");
+  const std::string path = testing::ScratchPath("fuzz_graph.bin");
   ASSERT_TRUE(SaveBinary(graph, path).ok());
   const std::string bytes = Slurp(path);
   FuzzFile(
@@ -84,7 +80,7 @@ TEST(CorruptionFuzzTest, SearcherIndexSurvivesTruncationAndFlips) {
   options.seed = 5;
   TopKSearcher searcher(graph, options);
   searcher.BuildIndex();
-  const std::string path = TempPath("fuzz_index.idx");
+  const std::string path = testing::ScratchPath("fuzz_index.idx");
   ASSERT_TRUE(SaveSearcherIndex(searcher, path).ok());
   const std::string bytes = Slurp(path);
   // Value payloads (diagonal doubles, gamma floats) tolerate bit flips;
@@ -98,7 +94,7 @@ TEST(CorruptionFuzzTest, SearcherIndexSurvivesTruncationAndFlips) {
 }
 
 TEST(CorruptionFuzzTest, EdgeListTextRejectsGarbageLines) {
-  const std::string path = TempPath("fuzz_edges.txt");
+  const std::string path = testing::ScratchPath("fuzz_edges.txt");
   const std::vector<std::string> bad_inputs = {
       "1 notanumber\n",
       "9999999999999999999999 3\n",
@@ -122,7 +118,7 @@ TEST(CorruptionFuzzTest, ImplausibleVectorLengthIsRejectedWithoutAllocating) {
   options.seed = 5;
   TopKSearcher searcher(graph, options);
   searcher.BuildIndex();
-  const std::string path = TempPath("fuzz_hugelen.idx");
+  const std::string path = testing::ScratchPath("fuzz_hugelen.idx");
   ASSERT_TRUE(SaveSearcherIndex(searcher, path).ok());
   std::string bytes = Slurp(path);
   // Layout: magic(8) n(8) m(8) decay(8) steps(4) flags(4), then the

@@ -15,10 +15,6 @@
 namespace simrank {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
 TEST(ParseEdgeListTest, ParsesSimpleList) {
   const auto result = ParseEdgeListText("0 1\n1 2\n2 0\n");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -87,7 +83,7 @@ TEST(LoadEdgeListTest, MissingFileIsIoError) {
 TEST(EdgeListRoundTripTest, SaveThenLoadPreservesGraph) {
   Rng rng(77);
   const DirectedGraph original = MakeErdosRenyi(50, 200, rng);
-  const std::string path = TempPath("roundtrip.txt");
+  const std::string path = testing::ScratchPath("roundtrip.txt");
   ASSERT_TRUE(SaveEdgeListText(original, path).ok());
   const auto loaded = LoadEdgeListText(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -102,7 +98,7 @@ TEST(EdgeListRoundTripTest, SaveThenLoadPreservesGraph) {
 TEST(BinaryRoundTripTest, SaveThenLoadPreservesGraph) {
   Rng rng(78);
   const DirectedGraph original = MakeBarabasiAlbert(120, 3, rng);
-  const std::string path = TempPath("roundtrip.bin");
+  const std::string path = testing::ScratchPath("roundtrip.bin");
   ASSERT_TRUE(SaveBinary(original, path).ok());
   const auto loaded = LoadBinary(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -116,7 +112,7 @@ TEST(BinaryRoundTripTest, SaveThenLoadPreservesGraph) {
 
 TEST(BinaryRoundTripTest, EmptyGraph) {
   const DirectedGraph empty(3, {});
-  const std::string path = TempPath("empty.bin");
+  const std::string path = testing::ScratchPath("empty.bin");
   ASSERT_TRUE(SaveBinary(empty, path).ok());
   const auto loaded = LoadBinary(path);
   ASSERT_TRUE(loaded.ok());
@@ -126,7 +122,7 @@ TEST(BinaryRoundTripTest, EmptyGraph) {
 }
 
 TEST(BinaryLoadTest, RejectsWrongMagic) {
-  const std::string path = TempPath("bad_magic.bin");
+  const std::string path = testing::ScratchPath("bad_magic.bin");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   const char junk[64] = "this is definitely not a graph";
@@ -141,7 +137,7 @@ TEST(BinaryLoadTest, RejectsWrongMagic) {
 TEST(BinaryLoadTest, RejectsTruncatedFile) {
   Rng rng(79);
   const DirectedGraph graph = MakeErdosRenyi(20, 60, rng);
-  const std::string path = TempPath("truncated.bin");
+  const std::string path = testing::ScratchPath("truncated.bin");
   ASSERT_TRUE(SaveBinary(graph, path).ok());
   // Truncate to half size.
   std::FILE* f = std::fopen(path.c_str(), "rb");

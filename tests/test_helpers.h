@@ -1,11 +1,20 @@
 #ifndef SIMRANK_TESTS_TEST_HELPERS_H_
 #define SIMRANK_TESTS_TEST_HELPERS_H_
 
+#include <cstdlib>
+#include <filesystem>
+#include <string>
+#include <system_error>
 #include <vector>
+
+#include <unistd.h>
+
+#include <gtest/gtest.h>
 
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace simrank::testing {
@@ -38,6 +47,40 @@ inline DirectedGraph SmallRandomGraph(Vertex n, uint64_t seed,
   }
   builder.Deduplicate();
   return builder.Build();
+}
+
+/// `name` inside this test process's own scratch directory: a mkdtemp
+/// directory under ::testing::TempDir(), created on first use and removed
+/// at exit, so the same test binary run concurrently from several build
+/// trees (or a stale file from an earlier run) never collides. A
+/// threadsafe death test re-executes the binary; the child inherits the
+/// directory through the environment so both processes agree on paths.
+inline std::string ScratchPath(const std::string& name) {
+  struct ScratchDir {
+    std::string path;
+    pid_t owner = 0;
+    ScratchDir() {
+      constexpr const char* kEnv = "SIMRANK_TEST_SCRATCH_DIR";
+      if (const char* inherited = std::getenv(kEnv); inherited != nullptr) {
+        path = inherited;
+        return;
+      }
+      std::string pattern = ::testing::TempDir();
+      if (pattern.empty() || pattern.back() != '/') pattern += '/';
+      pattern += "simrank_test_XXXXXX";
+      SIMRANK_CHECK(::mkdtemp(pattern.data()) != nullptr);
+      path = pattern;
+      owner = ::getpid();
+      ::setenv(kEnv, path.c_str(), 1);
+    }
+    ~ScratchDir() {
+      if (owner != ::getpid()) return;  // forked children leave it alone
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+  };
+  static ScratchDir dir;
+  return dir.path + "/" + name;
 }
 
 /// The paper's Example 1 graph: undirected star with 3 leaves ("claw"),

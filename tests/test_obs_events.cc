@@ -467,12 +467,12 @@ TEST_F(EngineEventsTest, GroupEventRecordsGroupSize) {
 
 TEST_F(EngineEventsTest, RecordEventsOffDisablesRecording) {
   DirectedGraph graph = testing::SmallRandomGraph(60, 905, 40);
-  service::EngineOptions options = SmallEngineOptions();
-  options.record_events = false;
-  auto engine = service::QueryEngine::Create(graph, options);
+  auto engine = service::QueryEngine::Create(graph, SmallEngineOptions());
   ASSERT_TRUE(engine.ok());
 
+  obs::SetEventsEnabled(false);
   auto response = (*engine)->Query(service::QueryRequest::ForVertex(1));
+  obs::SetEventsEnabled(true);
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->query_id, 0u);
   EXPECT_TRUE(EventLog::Default().Snapshot().empty());
@@ -597,16 +597,12 @@ TEST_F(EngineEventsTest, NullTraceSerializesAsNull) {
 
 // --- postmortem dumps -------------------------------------------------------
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
 TEST_F(EngineEventsTest, WritePostmortemDumpDirectly) {
   EventLog::Default().Record(MakeEvent(1234));
   obs::PostmortemInfo info;
   info.reason = "CHECK failed at test.cc:1: false";
   info.span_path = "engine_query/profile";
-  const std::string path = TempPath("events_pm_direct.json");
+  const std::string path = testing::ScratchPath("events_pm_direct.json");
   Status status = obs::WritePostmortemDump(path, info);
   ASSERT_TRUE(status.ok()) << status.message();
 
@@ -632,7 +628,7 @@ using EngineEventsDeathTest = EngineEventsTest;
 
 TEST_F(EngineEventsDeathTest, CheckFailureWritesPostmortemDump) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  const std::string path = TempPath("events_pm_check.json");
+  const std::string path = testing::ScratchPath("events_pm_check.json");
   std::remove(path.c_str());
 
   EXPECT_DEATH(
@@ -662,7 +658,7 @@ TEST_F(EngineEventsDeathTest, CheckFailureWritesPostmortemDump) {
 #ifdef SIMRANK_FAULT_INJECTION
 TEST_F(EngineEventsDeathTest, InjectedCheckFailureWritesPostmortemDump) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  const std::string path = TempPath("events_pm_fault.json");
+  const std::string path = testing::ScratchPath("events_pm_fault.json");
   std::remove(path.c_str());
 
   EXPECT_DEATH(

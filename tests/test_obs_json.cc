@@ -18,6 +18,7 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "test_helpers.h"
 #include "util/fault_injection.h"
 
 namespace simrank::obs {
@@ -163,7 +164,7 @@ TEST(BenchReportToJsonTest, BenchV1Schema) {
 }
 
 TEST(WriteJsonTest, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/obs_snapshot.json";
+  const std::string path = testing::ScratchPath("obs_snapshot.json");
   const Status status = WriteJson(path, SampleSnapshot());
   ASSERT_TRUE(status.ok()) << status.ToString();
   std::FILE* file = std::fopen(path.c_str(), "rb");
@@ -210,7 +211,7 @@ std::string SlurpFile(const std::string& path) {
 // Now it stages through AtomicFileWriter: a failed write must leave the
 // prior contents byte-for-byte intact and no temp file behind.
 TEST(WriteJsonTest, FailedWritePreservesPreviousFile) {
-  const std::string path = ::testing::TempDir() + "/obs_atomic.json";
+  const std::string path = testing::ScratchPath("obs_atomic.json");
   ASSERT_TRUE(WriteJson(path, SampleSnapshot()).ok());
   const std::string before = SlurpFile(path);
   ASSERT_FALSE(before.empty());

@@ -228,36 +228,6 @@ TEST(SearchOptionsValidateTest, NamesEveryOffendingField) {
   }
 }
 
-TEST(SearchOptionsValidateTest, PerBackendSlicesValidateIndependently) {
-  // Each backend validates only the slice it reads, so its error messages
-  // never mention another backend's knobs.
-  QueryLimits limits;
-  EXPECT_TRUE(limits.Validate().ok());
-  limits.k = 0;
-  EXPECT_EQ(limits.Validate().code(), StatusCode::kInvalidArgument);
-
-  McTuning mc;
-  EXPECT_TRUE(mc.Validate().ok());
-  mc.refine_walks = 0;
-  EXPECT_FALSE(mc.Validate().ok());
-}
-
-TEST(SearchOptionsValidateTest, CompositeValidateCoversEverySlice) {
-  SearchOptions options;
-  options.k = 0;
-  EXPECT_FALSE(options.Validate().ok());
-  options = SearchOptions();
-  options.refine_walks = 0;
-  EXPECT_FALSE(options.Validate().ok());
-  options = SearchOptions();
-  // The slices are base classes: the flat spellings still work and the
-  // slice accessors view the same storage.
-  options.k = 7;
-  options.refine_walks = 33;
-  EXPECT_EQ(options.limits().k, 7u);
-  EXPECT_EQ(options.mc().refine_walks, 33u);
-}
-
 TEST(SearchOptionsValidateTest, DisabledIngredientsSkipTheirChecks) {
   SearchOptions options;
   options.use_l1_bound = false;

@@ -4,6 +4,7 @@
 // serial kernel, and a concurrent-submission stress that the TSan preset
 // runs race detection on.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -89,7 +90,7 @@ TEST_F(ServiceEngineTest, CreateRejectsZeroCacheShards) {
   ASSERT_FALSE(engine.ok());
   EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
   // With the cache disabled the shard count is irrelevant.
-  options.enable_cache = false;
+  options.cache_capacity = 0;
   EXPECT_TRUE(QueryEngine::Create(graph_, options).ok());
 }
 
@@ -193,29 +194,49 @@ TEST_F(ServiceEngineTest, SubmitBatchMatchesSerialKernel) {
   }
 }
 
-TEST_F(ServiceEngineTest, GroupRequestMatchesKernelQueryGroup) {
+TEST_F(ServiceEngineTest, GroupRequestMatchesScoreSumOfKernelQueries) {
   TopKSearcher kernel(graph_, BaseSearch());
   kernel.BuildIndex();
   auto engine = QueryEngine::Create(graph_, BaseEngine());
   ASSERT_TRUE(engine.ok());
   const std::vector<Vertex> group = {3, 14, 15, 92};
-  const QueryResult want = kernel.QueryGroup(group);
+  // Reference: each candidate's kernel scores summed in member order,
+  // members excluded, ranked by the shared ScoredVertex order.
+  std::vector<ScoredVertex> want;
+  uint64_t refined = 0;
+  for (Vertex member : group) {
+    const QueryResult result = kernel.Query(member);
+    refined += result.stats.refined;
+    for (const ScoredVertex& entry : result.top) {
+      if (std::ranges::find(group, entry.vertex) != group.end()) continue;
+      auto it = std::ranges::find(want, entry.vertex, &ScoredVertex::vertex);
+      if (it == want.end()) {
+        want.push_back(entry);
+      } else {
+        it->score += entry.score;
+      }
+    }
+  }
+  std::ranges::sort(want, ScoredVertexGreater);
+  if (want.size() > BaseSearch().k) want.resize(BaseSearch().k);
   auto response = (*engine)->Query(QueryRequest::ForGroup(group));
   ASSERT_TRUE(response.ok());
   EXPECT_TRUE(response->status.ok());
-  ExpectSameRanking(response->top, want.top);
-  EXPECT_EQ(response->stats.refined, want.stats.refined);
+  ExpectSameRanking(response->top, want);
+  EXPECT_EQ(response->stats.refined, refined);
 }
 
-TEST_F(ServiceEngineTest, QueryAllMatchesKernelQueryAll) {
+TEST_F(ServiceEngineTest, RunAllPairsMatchesKernelQueries) {
   TopKSearcher kernel(graph_, BaseSearch());
   kernel.BuildIndex();
-  const auto want = kernel.QueryAll(nullptr);
   auto engine = QueryEngine::Create(graph_, BaseEngine());
   ASSERT_TRUE(engine.ok());
-  const auto got = (*engine)->QueryAll();
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t v = 0; v < want.size(); ++v) ExpectSameRanking(got[v], want[v]);
+  auto shard = (*engine)->RunAllPairs(AllPairsOptions{});
+  ASSERT_TRUE(shard.ok());
+  ASSERT_EQ(shard->rankings.size(), graph_.NumVertices());
+  for (Vertex v = 0; v < graph_.NumVertices(); ++v) {
+    ExpectSameRanking(shard->rankings[v], kernel.Query(v).top);
+  }
 }
 
 TEST_F(ServiceEngineTest, RunAllPairsMatchesKernelShard) {
@@ -609,7 +630,8 @@ TEST_F(ServiceEngineTest, KernelConvenienceOverloadsRecycleWorkspaces) {
   // re-paying the O(n) construction each iteration.
   for (Vertex v = 0; v < 10; ++v) (void)kernel.Query(v);
   EXPECT_EQ(kernel.pooled_workspaces(), 1u);
-  (void)kernel.QueryGroup(std::vector<Vertex>{1, 2});
+  // The serial all-vertices runner borrows from the same freelist.
+  (void)RunAllPairs(kernel);
   EXPECT_EQ(kernel.pooled_workspaces(), 1u);
 }
 

@@ -4,9 +4,13 @@
 #include "simrank/all_pairs.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <future>
+#include <latch>
 #include <set>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -97,6 +101,27 @@ TEST_F(AllPairsTest, ParallelMatchesSerial) {
   }
 }
 
+TEST_F(AllPairsTest, SharedPoolWaitsOnlyForItsOwnWork) {
+  // One worker is held by an unrelated task; the run must finish on the
+  // other three instead of waiting for the whole pool to drain.
+  ThreadPool pool(4);
+  std::latch release(1);
+  pool.Submit([&release] { release.wait(); });
+  AllPairsOptions options;
+  options.pool = &pool;
+  std::promise<size_t> done;
+  std::future<size_t> rankings = done.get_future();
+  std::thread runner([&] {
+    done.set_value(RunAllPairs(*searcher_, options).rankings.size());
+  });
+  const bool returned = rankings.wait_for(std::chrono::seconds(5)) ==
+                        std::future_status::ready;
+  release.count_down();
+  runner.join();
+  EXPECT_TRUE(returned) << "RunAllPairs waited on an unrelated pool task";
+  EXPECT_EQ(rankings.get(), graph_.NumVertices());
+}
+
 TEST_F(AllPairsTest, ProgressCallbackFires) {
   std::atomic<uint64_t> last{0};
   AllPairsOptions options;
@@ -108,7 +133,7 @@ TEST_F(AllPairsTest, ProgressCallbackFires) {
 
 TEST_F(AllPairsTest, TsvWriterRoundTrips) {
   const AllPairsShard shard = RunAllPairs(*searcher_);
-  const std::string path = ::testing::TempDir() + "/shard.tsv";
+  const std::string path = testing::ScratchPath("shard.tsv");
   ASSERT_TRUE(WriteShardTsv(shard, path).ok());
   // Parse back and compare a few lines.
   std::FILE* file = std::fopen(path.c_str(), "rb");

@@ -13,6 +13,7 @@
 
 #include "eval/metrics.h"
 #include "graph/generators.h"
+#include "simrank/all_pairs.h"
 #include "simrank/linear.h"
 #include "simrank/partial_sums.h"
 #include "simrank/yu_all_pairs.h"
@@ -254,35 +255,32 @@ TEST_F(SearcherQualityTest, DeterministicAcrossRuns) {
   }
 }
 
-TEST_F(SearcherQualityTest, QueryAllMatchesIndividualQueries) {
-  SearchOptions options = DefaultOptions();
-  TopKSearcher searcher(*graph_, options);
+TEST_F(SearcherQualityTest, AllPairsMatchesIndividualQueries) {
+  // The all-vertices runner is the plain query run for every vertex, on
+  // one thread or four: each query's stream depends only on (seed, u).
+  TopKSearcher searcher(*graph_, DefaultOptions());
   searcher.BuildIndex();
-  const auto all = searcher.QueryAll();
-  ASSERT_EQ(all.size(), graph_->NumVertices());
+  const AllPairsShard serial = RunAllPairs(searcher);
+  ThreadPool pool(4);
+  AllPairsOptions options;
+  options.pool = &pool;
+  const AllPairsShard parallel = RunAllPairs(searcher, options);
+  ASSERT_EQ(serial.rankings.size(), graph_->NumVertices());
+  ASSERT_EQ(parallel.rankings.size(), graph_->NumVertices());
+  for (size_t u = 0; u < serial.rankings.size(); ++u) {
+    ASSERT_EQ(serial.rankings[u].size(), parallel.rankings[u].size()) << u;
+    for (size_t i = 0; i < serial.rankings[u].size(); ++i) {
+      EXPECT_EQ(serial.rankings[u][i].vertex, parallel.rankings[u][i].vertex);
+      EXPECT_EQ(serial.rankings[u][i].score, parallel.rankings[u][i].score);
+    }
+  }
   QueryWorkspace workspace(searcher);
   for (Vertex u : {3u, 77u, 200u}) {
     const QueryResult single = searcher.Query(u, workspace);
-    ASSERT_EQ(all[u].size(), single.top.size()) << u;
-    for (size_t i = 0; i < all[u].size(); ++i) {
-      EXPECT_EQ(all[u][i].vertex, single.top[i].vertex);
-      EXPECT_DOUBLE_EQ(all[u][i].score, single.top[i].score);
-    }
-  }
-}
-
-TEST_F(SearcherQualityTest, QueryAllParallelMatchesSerial) {
-  TopKSearcher searcher(*graph_, DefaultOptions());
-  searcher.BuildIndex();
-  const auto serial = searcher.QueryAll(nullptr);
-  ThreadPool pool(4);
-  const auto parallel = searcher.QueryAll(&pool);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (size_t u = 0; u < serial.size(); ++u) {
-    ASSERT_EQ(serial[u].size(), parallel[u].size()) << u;
-    for (size_t i = 0; i < serial[u].size(); ++i) {
-      EXPECT_EQ(serial[u][i].vertex, parallel[u][i].vertex) << u;
-      EXPECT_DOUBLE_EQ(serial[u][i].score, parallel[u][i].score) << u;
+    ASSERT_EQ(serial.rankings[u].size(), single.top.size()) << u;
+    for (size_t i = 0; i < single.top.size(); ++i) {
+      EXPECT_EQ(serial.rankings[u][i].vertex, single.top[i].vertex);
+      EXPECT_EQ(serial.rankings[u][i].score, single.top[i].score);
     }
   }
 }

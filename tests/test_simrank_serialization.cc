@@ -14,10 +14,6 @@
 namespace simrank {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
 SearchOptions Options() {
   SearchOptions options;
   options.k = 10;
@@ -30,7 +26,7 @@ class SerializationTest : public ::testing::Test {
  protected:
   SerializationTest()
       : graph_(testing::SmallRandomGraph(120, 801, 60)),
-        path_(TempPath("searcher.idx")) {}
+        path_(testing::ScratchPath("searcher.idx")) {}
   ~SerializationTest() override { std::remove(path_.c_str()); }
 
   DirectedGraph graph_;
@@ -168,7 +164,7 @@ TEST_F(SerializationTest, FileWithoutIndexRejectsIndexOptions) {
 // ---------- BinaryWriter / BinaryReader ----------
 
 TEST(BinaryIoTest, RoundTripsScalarsAndVectors) {
-  const std::string path = TempPath("bin_roundtrip");
+  const std::string path = testing::ScratchPath("bin_roundtrip");
   {
     BinaryWriter writer(path);
     writer.Write<uint32_t>(42);
@@ -198,7 +194,7 @@ TEST(BinaryIoTest, RoundTripsScalarsAndVectors) {
 }
 
 TEST(BinaryIoTest, ImplausibleVectorLengthIsCorruption) {
-  const std::string path = TempPath("bin_huge");
+  const std::string path = testing::ScratchPath("bin_huge");
   {
     BinaryWriter writer(path);
     writer.Write<uint64_t>(~0ull);  // absurd length prefix

@@ -346,7 +346,7 @@ int CmdAllPairs(const Flags& flags) {
   if (!graph.ok()) return Fail(graph.status());
   service::EngineOptions engine_options;
   engine_options.num_threads = 1;  // --threads overrides inside MakeEngine
-  engine_options.enable_cache = false;  // every vertex queried exactly once
+  engine_options.cache_capacity = 0;  // every vertex queried exactly once
   auto engine = MakeEngine(*graph, flags, std::move(engine_options));
   if (!engine.ok()) return Fail(engine.status());
   AllPairsFileOptions all;

@@ -1,6 +1,6 @@
 #include "graph/traversal.h"
 
-#include <deque>
+#include <algorithm>
 
 namespace simrank {
 
@@ -23,6 +23,14 @@ void ForEachNeighbor(const DirectedGraph& graph, Vertex v,
   }
 }
 
+uint64_t Degree(const DirectedGraph& graph, Vertex v,
+                EdgeDirection direction) {
+  const uint64_t out =
+      direction == EdgeDirection::kIn ? 0 : graph.OutDegree(v);
+  const uint64_t in = direction == EdgeDirection::kOut ? 0 : graph.InDegree(v);
+  return out + in;
+}
+
 }  // namespace
 
 std::vector<uint32_t> BfsDistances(const DirectedGraph& graph, Vertex source,
@@ -41,26 +49,48 @@ BfsWorkspace::BfsWorkspace(const DirectedGraph& graph)
       epoch_of_(graph.NumVertices(), 0) {}
 
 void BfsWorkspace::Run(Vertex source, EdgeDirection direction,
-                       uint32_t max_distance) {
+                       uint32_t max_distance, uint64_t edge_budget) {
   SIMRANK_CHECK_LT(source, graph_.NumVertices());
-  ++epoch_;
+  if (++epoch_ == 0) {
+    // Wrapped: zero-filled and stale stamps would read as visited.
+    std::fill(epoch_of_.begin(), epoch_of_.end(), 0);
+    epoch_ = 1;
+  }
   reached_.clear();
   reached_.push_back(source);
   epoch_of_[source] = epoch_;
   distance_[source] = 0;
+  edges_visited_ = 0;
+  frontier_distance_ = kInfiniteDistance;
   // `reached_` doubles as the BFS queue: vertices are appended in discovery
-  // order and scanned once.
-  for (size_t head = 0; head < reached_.size(); ++head) {
-    const Vertex v = reached_[head];
-    const uint32_t dist = distance_[v];
-    if (dist >= max_distance) continue;
-    ForEachNeighbor(graph_, v, direction, [&](Vertex w) {
-      if (epoch_of_[w] != epoch_) {
-        epoch_of_[w] = epoch_;
-        distance_[w] = dist + 1;
-        reached_.push_back(w);
-      }
-    });
+  // order, and [begin, end) holds the level at distance `level`.
+  size_t begin = 0;
+  for (uint32_t level = 0; begin < reached_.size(); ++level) {
+    // A horizon or budget cut leaves everything unreached beyond `level`.
+    if (level >= max_distance) {
+      frontier_distance_ = level + 1;
+      return;
+    }
+    const size_t end = reached_.size();
+    uint64_t level_edges = 0;
+    for (size_t i = begin; i < end; ++i) {
+      level_edges += Degree(graph_, reached_[i], direction);
+    }
+    if (level_edges > edge_budget - edges_visited_) {
+      frontier_distance_ = level + 1;
+      return;
+    }
+    edges_visited_ += level_edges;
+    for (size_t i = begin; i < end; ++i) {
+      ForEachNeighbor(graph_, reached_[i], direction, [&](Vertex w) {
+        if (epoch_of_[w] != epoch_) {
+          epoch_of_[w] = epoch_;
+          distance_[w] = level + 1;
+          reached_.push_back(w);
+        }
+      });
+    }
+    begin = end;
   }
 }
 

@@ -25,6 +25,9 @@ std::vector<uint32_t> BfsDistances(const DirectedGraph& graph, Vertex source,
                                    EdgeDirection direction,
                                    uint32_t max_distance = kInfiniteDistance);
 
+/// Edge budget of BfsWorkspace::Run that never binds.
+inline constexpr uint64_t kNoEdgeBudget = static_cast<uint64_t>(-1);
+
 /// Reusable BFS workspace for query loops: avoids the O(n) clear between
 /// BFS runs by epoch-stamping visited marks. Not thread-safe; use one per
 /// thread.
@@ -32,10 +35,14 @@ class BfsWorkspace {
  public:
   explicit BfsWorkspace(const DirectedGraph& graph);
 
-  /// Runs BFS from `source` along `direction`, up to `max_distance`. The
-  /// result stays valid until the next Run on this workspace.
+  /// Runs BFS from `source` along `direction`, level by level, up to
+  /// `max_distance`. Before expanding a level it sums the level's degrees
+  /// along `direction` and stops if the edges visited so far plus that sum
+  /// would pass `edge_budget`, so a run scans at most `edge_budget` edges.
+  /// The result stays valid until the next Run on this workspace.
   void Run(Vertex source, EdgeDirection direction,
-           uint32_t max_distance = kInfiniteDistance);
+           uint32_t max_distance = kInfiniteDistance,
+           uint64_t edge_budget = kNoEdgeBudget);
 
   /// Distance of v from the last Run's source (kInfiniteDistance if not
   /// reached within the cutoff).
@@ -43,16 +50,36 @@ class BfsWorkspace {
     return epoch_of_[v] == epoch_ ? distance_[v] : kInfiniteDistance;
   }
 
+  /// Every vertex the last Run did not reach is at least this far from the
+  /// source: max_distance + 1 after a horizon cut, the cut level + 1 after
+  /// a budget cut, and kInfiniteDistance once the component is exhausted.
+  /// Reached vertices are exactly the ones closer than this.
+  uint32_t frontier_distance() const { return frontier_distance_; }
+
+  /// Lower bound on the distance of v from the last Run's source: the
+  /// exact distance where the BFS reached v, frontier_distance() elsewhere.
+  /// Equals min(d(v), frontier_distance()).
+  uint32_t DistanceLowerBound(Vertex v) const {
+    return epoch_of_[v] == epoch_ ? distance_[v] : frontier_distance_;
+  }
+
   /// Vertices reached by the last Run, in nondecreasing distance order
   /// (BFS discovery order); the source itself is first.
   const std::vector<Vertex>& Reached() const { return reached_; }
 
+  /// Edges the last Run scanned: the degree sum of the levels it expanded.
+  uint64_t edges_visited() const { return edges_visited_; }
+
  private:
+  friend class BfsWorkspaceTestPeer;  // starts the epoch near its wrap
+
   const DirectedGraph& graph_;
   std::vector<uint32_t> distance_;
   std::vector<uint32_t> epoch_of_;
   std::vector<Vertex> reached_;
   uint32_t epoch_ = 0;
+  uint32_t frontier_distance_ = kInfiniteDistance;
+  uint64_t edges_visited_ = 0;
 };
 
 /// Number of weakly connected components and the size of the largest one.

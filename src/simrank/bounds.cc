@@ -141,6 +141,8 @@ double GammaTable::BoundAtDistance(Vertex u, Vertex v,
   SIMRANK_CHECK_LT(v, num_vertices_);
   const float* gu = values_.data() + static_cast<size_t>(u) * num_steps_;
   const float* gv = values_.data() + static_cast<size_t>(v) * num_steps_;
+  // No path: the walk distributions never overlap.
+  if (distance == kInfiniteDistance) return 0.0;
   // First step whose radius-t balls around u and v can intersect.
   const uint32_t first_step = (distance + 1) / 2;
   if (first_step >= num_steps_) return 0.0;
@@ -180,7 +182,7 @@ std::vector<double> ComputeL1Beta(const DirectedGraph& graph,
     counter.Clear();
     counter.AddAll(walks.live());
     counter.ForEach([&](Vertex w, uint32_t count) {
-      const uint32_t d = distances.Distance(w);
+      const uint32_t d = distances.DistanceLowerBound(w);
       if (d >= rows) return;  // cannot affect beta(0..max_distance)
       const double mass = diagonal[w] * count * inv_walks;
       alpha[d][t] = std::max(alpha[d][t], mass);
@@ -213,7 +215,7 @@ std::vector<double> ComputeL1BetaExact(const DirectedGraph& graph,
   support.push_back(query);
   for (uint32_t t = 0; t < steps; ++t) {
     for (Vertex w : support) {
-      const uint32_t d = distances.Distance(w);
+      const uint32_t d = distances.DistanceLowerBound(w);
       if (d >= rows) continue;
       alpha[d][t] = std::max(alpha[d][t], diagonal[w] * current[w]);
     }

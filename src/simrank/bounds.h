@@ -74,7 +74,9 @@ class GammaTable {
   /// (each lives in the undirected radius-t ball of its endpoint, and the
   /// balls cannot intersect while 2t < d(u,v)), making those inner products
   /// exactly zero. Strictly tighter than Prop. 6 and still a valid upper
-  /// bound on s^(T)(u,v); this is what Algorithm 5 prunes with.
+  /// bound on s^(T)(u,v); this is what Algorithm 5 prunes with. Any lower
+  /// bound on d(u,v) keeps it valid (fewer terms are dropped);
+  /// kInfiniteDistance (no path) gives 0.
   double BoundAtDistance(Vertex u, Vertex v, uint32_t distance) const;
 
   uint64_t MemoryBytes() const { return values_.capacity() * sizeof(float); }
@@ -100,12 +102,17 @@ class GammaTable {
 /// and s^(T)(u,v) <= beta(u, d(u,v)) (Prop. 4). Most effective for
 /// low-degree query vertices whose walk distribution stays sparse (§6.3).
 ///
-/// `distances` must hold the undirected BFS distances from u (the result of
-/// a BfsWorkspace run); walks only visit vertices within distance <=
-/// num_steps, so the BFS may be truncated there. Returns beta indexed by
-/// distance d = 0 .. max_distance. `arena`, when given, backs the walk
-/// scratch (the dominant allocation at the usual R = 10000); the call
-/// marks and rewinds it, so the caller's arena is returned untouched.
+/// `distances` is an undirected BfsWorkspace run from u, which may have
+/// stopped at its horizon or edge budget. Walk positions are filed at their
+/// DistanceLowerBound, min(d, F) with F the run's frontier_distance(). The
+/// clamp moves no two vertices further apart, so a vertex where u's and v's
+/// walks meet at step t still lies within t buckets of v's, and
+/// s^(T)(u,v) <= beta(u, DistanceLowerBound(v)). Walk positions at step t
+/// lie within distance t, so beta(d) is the full-BFS value for every d < F.
+/// Returns beta indexed by distance d = 0 .. max_distance. `arena`, when
+/// given, backs the walk scratch (the dominant allocation at the usual
+/// R = 10000); the call marks and rewinds it, so the caller's arena is
+/// returned untouched.
 std::vector<double> ComputeL1Beta(const DirectedGraph& graph,
                                   const SimRankParams& params,
                                   const std::vector<double>& diagonal,

@@ -1,6 +1,7 @@
 #ifndef SIMRANK_SIMRANK_INDEX_H_
 #define SIMRANK_SIMRANK_INDEX_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -66,11 +67,17 @@ class CandidateIndex {
   /// Invokes fn(v) once for every candidate v of u: every vertex sharing at
   /// least one hub with u (including u itself if indexed). `scratch` must
   /// have at least num_vertices() entries and is used for deduplication;
-  /// `scratch_epoch` is incremented by the call.
+  /// `scratch_epoch` is incremented by the call (and restarts at 1, with
+  /// `scratch` cleared, when it wraps).
   template <typename Fn>
   void ForEachCandidate(Vertex u, std::vector<uint32_t>& scratch,
                         uint32_t& scratch_epoch, Fn&& fn) const {
-    const uint32_t epoch = ++scratch_epoch;
+    if (++scratch_epoch == 0) {
+      // Wrapped: zero-filled and stale marks would read as already seen.
+      std::fill(scratch.begin(), scratch.end(), 0);
+      scratch_epoch = 1;
+    }
+    const uint32_t epoch = scratch_epoch;
     for (Vertex hub : HubsOf(u)) {
       for (Vertex v : VerticesWithHub(hub)) {
         if (scratch[v] == epoch) continue;

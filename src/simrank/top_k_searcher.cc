@@ -29,8 +29,10 @@ struct QueryMetrics {
   obs::Counter& rough_estimates;
   obs::Counter& skipped_after_estimate;
   obs::Counter& refined;
+  obs::Counter& bfs_truncated;
   obs::Histogram& latency_ns;
   obs::Histogram& samples;
+  obs::Histogram& bfs_edges;
 
   QueryMetrics()
       : queries(Registry().GetCounter("query.count")),
@@ -43,8 +45,10 @@ struct QueryMetrics {
         skipped_after_estimate(
             Registry().GetCounter("query.skipped_after_estimate")),
         refined(Registry().GetCounter("query.refined")),
+        bfs_truncated(Registry().GetCounter("query.bfs_truncated")),
         latency_ns(Registry().GetHistogram("query.latency_ns")),
-        samples(Registry().GetHistogram("query.samples")) {}
+        samples(Registry().GetHistogram("query.samples")),
+        bfs_edges(Registry().GetHistogram("query.bfs_edges")) {}
 
   static obs::MetricsRegistry& Registry() {
     return obs::MetricsRegistry::Default();
@@ -57,11 +61,15 @@ QueryMetrics& GetQueryMetrics() {
 }
 
 // Flushes the per-query view into the process-wide registry (QueryStats
-// stays the caller-facing view of the same numbers).
+// stays the caller-facing view of the same numbers), plus the BFS's edge
+// visits and whether its edge budget cut it short.
 void FlushQueryMetrics(const QueryStats& stats, uint32_t refine_walks,
-                       const SearchOptions& options) {
+                       const SearchOptions& options, uint64_t bfs_edges,
+                       bool bfs_truncated) {
   QueryMetrics& metrics = GetQueryMetrics();
   metrics.queries.Add(1);
+  metrics.bfs_edges.Record(bfs_edges);
+  if (bfs_truncated) metrics.bfs_truncated.Add(1);
   metrics.candidates_enumerated.Add(stats.candidates_enumerated);
   metrics.pruned_by_distance.Add(stats.pruned_by_distance);
   metrics.pruned_by_l1.Add(stats.pruned_by_l1);
@@ -322,15 +330,23 @@ QueryResult TopKSearcher::Query(Vertex query, QueryWorkspace& workspace,
   // workspace construction.
   workspace.arena_.Reset();
 
-  // BFS from the query: distances feed the pruning bounds, and its
-  // discovery order doubles as the index-free candidate enumeration. The
-  // horizon covers both d_max and the walk radius T-1 needed by the L1
-  // bound's alpha table.
+  // BFS from the query: distances feed the pruning bounds, and in scan mode
+  // its discovery order is the candidate enumeration. The horizon covers
+  // both d_max and the walk radius T-1 of the L1 bound's alpha table. In
+  // index mode the BFS scans at most as many edges as the L1 pass takes
+  // walk steps (R * T), so the query stays local, and past its frontier
+  // the bounds take distance lower bounds (bounds.h). Scan mode keeps the
+  // full BFS: its reached list is the enumeration.
+  const uint32_t horizon =
+      std::max(options_.max_distance, params.num_steps - 1);
   {
     obs::ScopedSpan span("bfs");
-    const uint32_t horizon =
-        std::max(options_.max_distance, params.num_steps - 1);
-    workspace.bfs_.Run(query, EdgeDirection::kUndirected, horizon);
+    const uint64_t edge_budget =
+        options_.use_index
+            ? uint64_t{options_.l1_walks} * params.num_steps
+            : kNoEdgeBudget;
+    workspace.bfs_.Run(query, EdgeDirection::kUndirected, horizon,
+                       edge_budget);
   }
 
   // L1 bound table beta(u, d) (Algorithm 2) — computed per query.
@@ -358,7 +374,8 @@ QueryResult TopKSearcher::Query(Vertex query, QueryWorkspace& workspace,
     ++stats.candidates_enumerated;
     {
       obs::ScopedSpan bounds_span("bound_pruning");
-      const uint32_t distance = workspace.bfs_.Distance(v);
+      // Exact where the BFS reached v, its frontier distance elsewhere.
+      const uint32_t distance = workspace.bfs_.DistanceLowerBound(v);
       if (distance == kInfiniteDistance ||
           distance > options_.max_distance) {
         ++stats.pruned_by_distance;
@@ -412,7 +429,10 @@ QueryResult TopKSearcher::Query(Vertex query, QueryWorkspace& workspace,
 
   result.top = collector.TakeSorted();
   stats.seconds = timer.ElapsedSeconds();
-  FlushQueryMetrics(stats, refine_walks, options_);
+  // A horizon cut leaves the frontier at horizon + 1; a budget cut, closer.
+  FlushQueryMetrics(stats, refine_walks, options_,
+                    workspace.bfs_.edges_visited(),
+                    workspace.bfs_.frontier_distance() <= horizon);
   return result;
 }
 

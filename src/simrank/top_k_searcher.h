@@ -37,7 +37,10 @@ struct SearchOptions {
 
   /// Search horizon d_max: vertices farther (undirected) than this from the
   /// query are not considered (§6: "if d(u,v) > dmax then s(u,v) is too
-  /// small to take into account"; the paper sets dmax = T).
+  /// small to take into account"; the paper sets dmax = T). Enforced only
+  /// where the query's BFS reached: in index mode the BFS stops at an edge
+  /// budget of l1_walks * T, and a candidate past its frontier is scored
+  /// unless a bound at the frontier distance prunes it.
   uint32_t max_distance = 11;
 
   // --- pruning ingredients (each can be ablated independently) ---

@@ -1,8 +1,11 @@
 // Tests for BFS distances (all three edge directions), the reusable
-// workspace, connected components, and average-distance estimation.
+// workspace with its edge budget and distance lower bounds, connected
+// components, and average-distance estimation.
 
 #include "graph/traversal.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <queue>
 #include <vector>
 
@@ -13,6 +16,15 @@
 #include "util/rng.h"
 
 namespace simrank {
+
+// Test-only access to the workspace's epoch counter, to reach its wrap.
+class BfsWorkspaceTestPeer {
+ public:
+  static void SetEpoch(BfsWorkspace& workspace, uint32_t epoch) {
+    workspace.epoch_ = epoch;
+  }
+};
+
 namespace {
 
 using ::simrank::testing::GraphFromEdges;
@@ -116,6 +128,105 @@ TEST(BfsWorkspaceTest, ManyEpochsStayConsistent) {
     const Vertex source = static_cast<Vertex>(round % 50);
     workspace.Run(source, EdgeDirection::kUndirected);
     EXPECT_EQ(workspace.Distance(source), 0u);
+  }
+}
+
+TEST(BfsWorkspaceTest, EpochWrapClearsStaleMarks) {
+  // On its 2^32-th run the epoch wraps to 0, which every never-stamped
+  // vertex matches: without the clear, the BFS treats those vertices as
+  // already visited, at distance 0, and stops at the source's ball.
+  const DirectedGraph graph = testing::SmallRandomGraph(60, 42, 30);
+  const auto expected = ReferenceBfs(graph, 7, EdgeDirection::kUndirected);
+  BfsWorkspace workspace(graph);
+  BfsWorkspaceTestPeer::SetEpoch(workspace, UINT32_MAX - 1);
+  // The last run before the wrap stamps only the radius-1 ball.
+  workspace.Run(7, EdgeDirection::kUndirected, 1);
+  for (Vertex v = 0; v < graph.NumVertices(); ++v) {
+    EXPECT_EQ(workspace.Distance(v),
+              expected[v] <= 1 ? expected[v] : kInfiniteDistance);
+  }
+  for (int run = 0; run < 3; ++run) {  // the first one wraps
+    workspace.Run(7, EdgeDirection::kUndirected);
+    std::vector<uint32_t> actual(graph.NumVertices());
+    for (Vertex v = 0; v < graph.NumVertices(); ++v) {
+      actual[v] = workspace.Distance(v);
+    }
+    EXPECT_EQ(actual, expected) << "run " << run;
+  }
+}
+
+TEST(BfsWorkspaceTest, HorizonAndExhaustionSetTheFrontier) {
+  // Path 0-1-2-3 plus the isolated vertex 4.
+  const DirectedGraph graph = GraphFromEdges(5, {{0, 1}, {1, 2}, {2, 3}});
+  BfsWorkspace workspace(graph);
+  workspace.Run(0, EdgeDirection::kUndirected, 2);
+  EXPECT_EQ(workspace.frontier_distance(), 3u);
+  EXPECT_EQ(workspace.DistanceLowerBound(2), 2u);
+  EXPECT_EQ(workspace.DistanceLowerBound(3), 3u);
+  EXPECT_EQ(workspace.Distance(3), kInfiniteDistance);
+  EXPECT_EQ(workspace.edges_visited(), 3u);  // degrees of 0 and 1
+  workspace.Run(0, EdgeDirection::kUndirected);
+  EXPECT_EQ(workspace.frontier_distance(), kInfiniteDistance);
+  EXPECT_EQ(workspace.DistanceLowerBound(4), kInfiniteDistance);
+  EXPECT_EQ(workspace.edges_visited(), 6u);
+  // Budget 2 admits vertex 0's one edge but not level 1's two.
+  workspace.Run(0, EdgeDirection::kUndirected, kInfiniteDistance, 2);
+  EXPECT_EQ(workspace.frontier_distance(), 2u);
+  EXPECT_EQ(workspace.Reached().size(), 2u);
+  EXPECT_EQ(workspace.DistanceLowerBound(3), 2u);
+  EXPECT_EQ(workspace.DistanceLowerBound(4), 2u);
+  EXPECT_EQ(workspace.edges_visited(), 1u);
+}
+
+TEST(BfsWorkspaceTest, BudgetedRunIsAPrefixOfTheFullBfsAtEveryBudget) {
+  // At every budget from 0 to the full ball's edge count: reached
+  // distances are exact, Reached() stays sorted, the scan stays within the
+  // budget, and every unreached vertex is at least frontier_distance()
+  // away, so DistanceLowerBound(v) = min(d(v), frontier_distance()).
+  for (uint64_t seed : {34ULL, 35ULL, 36ULL}) {
+    const DirectedGraph graph = testing::SmallRandomGraph(120, seed, 80);
+    for (uint32_t horizon : {3u, kInfiniteDistance}) {
+      for (Vertex source : {0u, 17u, 119u}) {
+        BfsWorkspace workspace(graph);
+        workspace.Run(source, EdgeDirection::kUndirected, horizon);
+        const uint64_t full_ball = workspace.edges_visited();
+        const uint32_t full_frontier = workspace.frontier_distance();
+        const size_t full_reached = workspace.Reached().size();
+        std::vector<uint32_t> full(graph.NumVertices());
+        for (Vertex v = 0; v < graph.NumVertices(); ++v) {
+          full[v] = workspace.Distance(v);
+        }
+        for (uint64_t budget = 0; budget <= full_ball; ++budget) {
+          workspace.Run(source, EdgeDirection::kUndirected, horizon, budget);
+          const uint32_t frontier = workspace.frontier_distance();
+          EXPECT_LE(workspace.edges_visited(), budget);
+          EXPECT_LE(frontier, full_frontier);
+          ASSERT_EQ(workspace.Reached().front(), source);
+          uint32_t last = 0;
+          for (Vertex v : workspace.Reached()) {
+            EXPECT_EQ(workspace.Distance(v), full[v]);
+            EXPECT_LT(workspace.Distance(v), frontier);
+            EXPECT_GE(workspace.Distance(v), last);
+            last = workspace.Distance(v);
+          }
+          for (Vertex v = 0; v < graph.NumVertices(); ++v) {
+            const bool reached = workspace.Distance(v) != kInfiniteDistance;
+            EXPECT_EQ(reached, full[v] < frontier)
+                << "seed=" << seed << " budget=" << budget << " v=" << v;
+            // Full-BFS "unreached" is past the horizon: at least
+            // full_frontier away.
+            const uint32_t distance =
+                full[v] == kInfiniteDistance ? full_frontier : full[v];
+            EXPECT_EQ(workspace.DistanceLowerBound(v),
+                      std::min(distance, frontier));
+          }
+          if (budget == full_ball) {
+            EXPECT_EQ(frontier, full_frontier);
+            EXPECT_EQ(workspace.Reached().size(), full_reached);
+          }
+        }
+      }
+    }
   }
 }
 

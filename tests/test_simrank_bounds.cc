@@ -6,6 +6,7 @@
 
 #include "simrank/bounds.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -113,7 +114,8 @@ TEST(GammaTableTest, ExactBoundDominatesTruncatedScore) {
 TEST(GammaTableTest, DistanceSharpeningOnlyDropsZeroTerms) {
   // BoundAtDistance <= Bound always, with equality at d = 0 (nothing can
   // be dropped), strict improvement at d >= 1 (the t = 0 term
-  // sqrt(D_uu D_vv) goes away), and 0 beyond the walk horizon.
+  // sqrt(D_uu D_vv) goes away), and 0 beyond the walk horizon and for a
+  // pair with no path.
   const DirectedGraph graph = testing::SmallRandomGraph(60, 399, 40);
   const SimRankParams params = Params(0.6, 11);
   const GammaTable table = GammaTable::BuildExact(
@@ -125,6 +127,7 @@ TEST(GammaTableTest, DistanceSharpeningOnlyDropsZeroTerms) {
                 table.Bound(u, v) - 0.9 * (1.0 - params.decay));
       EXPECT_LE(table.BoundAtDistance(u, v, 4), table.Bound(u, v));
       EXPECT_DOUBLE_EQ(table.BoundAtDistance(u, v, 2 * 11), 0.0);
+      EXPECT_EQ(table.BoundAtDistance(u, v, kInfiniteDistance), 0.0);
     }
   }
 }
@@ -196,6 +199,57 @@ TEST(L1BoundTest, ExactBetaDominatesTruncatedScore) {
         if (d == kInfiniteDistance || d > dmax) continue;
         EXPECT_LE(row[v], beta[d] + 1e-9)
             << "seed=" << seed << " u=" << u << " v=" << v << " d=" << d;
+      }
+    }
+  }
+}
+
+TEST(L1BoundTest, DistanceLowerBoundsKeepBothBoundsValidAtEveryBudget) {
+  // With the BFS cut by an edge budget, the bounds take DistanceLowerBound
+  // = min(d, frontier). At every budget from 0 to the full ball: the L1
+  // and L2 bounds at the lower bound still dominate s^(T), and beta (exact
+  // and sampled alike) equals the full-BFS beta below the frontier.
+  for (uint64_t seed : {314ULL, 315ULL}) {
+    const DirectedGraph graph = testing::SmallRandomGraph(60, seed, 40);
+    const SimRankParams params = Params(0.6, 11);
+    const std::vector<double> diag =
+        UniformDiagonal(graph.NumVertices(), params.decay);
+    const GammaTable gamma = GammaTable::BuildExact(graph, params, diag);
+    const LinearSimRank linear(graph, params, diag);
+    const uint32_t dmax = 11;
+    const uint32_t horizon = std::max(dmax, params.num_steps - 1);
+    BfsWorkspace bfs(graph);
+    for (Vertex u = 0; u < graph.NumVertices(); u += 9) {
+      const std::vector<double> row = linear.SingleSource(u);
+      bfs.Run(u, EdgeDirection::kUndirected, horizon);
+      const uint64_t full_ball = bfs.edges_visited();
+      const std::vector<double> full_exact =
+          ComputeL1BetaExact(graph, params, diag, u, bfs, dmax);
+      Rng full_rng(seed + u);
+      const std::vector<double> full_sampled =
+          ComputeL1Beta(graph, params, diag, u, 500, bfs, dmax, full_rng);
+      for (uint64_t budget = 0; budget <= full_ball; ++budget) {
+        bfs.Run(u, EdgeDirection::kUndirected, horizon, budget);
+        const uint32_t frontier = bfs.frontier_distance();
+        const std::vector<double> beta =
+            ComputeL1BetaExact(graph, params, diag, u, bfs, dmax);
+        Rng rng(seed + u);
+        const std::vector<double> sampled =
+            ComputeL1Beta(graph, params, diag, u, 500, bfs, dmax, rng);
+        for (uint32_t d = 0; d <= dmax && d < frontier; ++d) {
+          EXPECT_EQ(beta[d], full_exact[d]) << "budget=" << budget;
+          EXPECT_EQ(sampled[d], full_sampled[d]) << "budget=" << budget;
+        }
+        for (Vertex v = 0; v < graph.NumVertices(); ++v) {
+          const uint32_t d = bfs.DistanceLowerBound(v);
+          if (v == u || d == kInfiniteDistance || d > dmax) continue;
+          EXPECT_LE(row[v], beta[d] + 1e-9)
+              << "seed=" << seed << " u=" << u << " v=" << v
+              << " budget=" << budget;
+          EXPECT_LE(row[v], gamma.BoundAtDistance(u, v, d) + 1e-5)
+              << "seed=" << seed << " u=" << u << " v=" << v
+              << " budget=" << budget;
+        }
       }
     }
   }

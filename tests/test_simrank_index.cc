@@ -83,6 +83,31 @@ TEST(CandidateIndexTest, ForEachCandidateDeduplicates) {
   }
 }
 
+TEST(CandidateIndexTest, ForEachCandidateSurvivesEpochWrap) {
+  // At scratch_epoch = UINT32_MAX the next epoch wraps to 0, which every
+  // zero-filled mark matches: without the clear the scan yields nothing.
+  const DirectedGraph graph = testing::SmallRandomGraph(80, 404, 40);
+  const CandidateIndex index(graph, Params(0.6, 11), IndexParams{}, 8);
+  int checked = 0;
+  for (Vertex u = 0; u < graph.NumVertices(); u += 11) {
+    std::vector<uint32_t> marks(graph.NumVertices(), 0);
+    uint32_t epoch = 0;
+    std::set<Vertex> expected;
+    index.ForEachCandidate(u, marks, epoch,
+                           [&](Vertex v) { expected.insert(v); });
+    if (expected.empty()) continue;
+    ++checked;
+    std::fill(marks.begin(), marks.end(), 0);
+    epoch = UINT32_MAX;
+    std::set<Vertex> wrapped;
+    index.ForEachCandidate(u, marks, epoch,
+                           [&](Vertex v) { wrapped.insert(v); });
+    EXPECT_EQ(wrapped, expected) << u;
+    EXPECT_EQ(epoch, 1u);
+  }
+  EXPECT_GT(checked, 3);
+}
+
 TEST(CandidateIndexTest, WalkCollisionsYieldEntriesOnDensePocket) {
   // In a tight 2-cycle community every witness walk stays inside it, so
   // collisions are guaranteed and the index must be populated.

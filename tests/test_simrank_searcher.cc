@@ -13,6 +13,7 @@
 
 #include "eval/metrics.h"
 #include "graph/generators.h"
+#include "obs/metrics.h"
 #include "simrank/all_pairs.h"
 #include "simrank/linear.h"
 #include "simrank/partial_sums.h"
@@ -383,6 +384,67 @@ TEST(SearcherEdgeCaseTest, DifferentSeedsGiveConsistentTopVertex) {
   }
   if (trials > 0) {
     EXPECT_GE(static_cast<double>(agreements) / trials, 0.7);
+  }
+}
+
+TEST(SearcherEdgeCaseTest, BudgetBoundQueriesKeepTheirInvariants) {
+  // With few L1 walks the BFS edge budget (l1_walks * T edges) binds, so
+  // candidates past the BFS frontier are bounded at the frontier distance
+  // and can still be answers. The stats identity, the threshold and
+  // thread-count determinism hold.
+  Rng rng(606);
+  const DirectedGraph graph = MakeRmat(10, 8000, rng);
+  SearchOptions options = DefaultOptions();
+  options.l1_walks = 40;  // a 440-edge BFS on 16,000 undirected arcs
+  TopKSearcher searcher(graph, options);
+  searcher.BuildIndex();
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  obs::Counter& truncated = registry.GetCounter("query.bfs_truncated");
+  obs::Histogram& bfs_edges = registry.GetHistogram("query.bfs_edges");
+  const uint64_t truncated_before = truncated.Value();
+  const uint64_t recorded_before = bfs_edges.Count();
+  QueryWorkspace workspace(searcher);
+  BfsWorkspace bfs(graph);
+  uint64_t queries = 0, answers = 0, answers_past_frontier = 0;
+  for (Vertex u = 0; u < graph.NumVertices(); u += 7) {
+    const QueryResult result = searcher.Query(u, workspace);
+    bfs.Run(u, EdgeDirection::kUndirected, options.max_distance,
+            uint64_t{options.l1_walks} * options.simrank.num_steps);
+    ++queries;
+    const QueryStats& stats = result.stats;
+    EXPECT_EQ(stats.candidates_enumerated,
+              stats.pruned_by_distance + stats.pruned_by_l1 +
+                  stats.pruned_by_l2 + stats.skipped_after_estimate +
+                  stats.refined)
+        << u;
+    EXPECT_EQ(stats.rough_estimates,
+              stats.skipped_after_estimate + stats.refined)
+        << u;
+    for (const ScoredVertex& entry : result.top) {
+      EXPECT_GE(entry.score, options.threshold) << u;
+      ++answers;
+      if (bfs.Distance(entry.vertex) == kInfiniteDistance) {
+        ++answers_past_frontier;
+      }
+    }
+  }
+  EXPECT_GT(answers_past_frontier, 0u);
+  EXPECT_GT(answers, answers_past_frontier);
+  EXPECT_EQ(bfs_edges.Count() - recorded_before, queries);
+  EXPECT_GT(truncated.Value() - truncated_before, queries / 2);
+
+  const AllPairsShard serial = RunAllPairs(searcher);
+  ThreadPool pool(4);
+  AllPairsOptions parallel_options;
+  parallel_options.pool = &pool;
+  const AllPairsShard parallel = RunAllPairs(searcher, parallel_options);
+  ASSERT_EQ(serial.rankings.size(), parallel.rankings.size());
+  for (size_t u = 0; u < serial.rankings.size(); ++u) {
+    ASSERT_EQ(serial.rankings[u].size(), parallel.rankings[u].size()) << u;
+    for (size_t i = 0; i < serial.rankings[u].size(); ++i) {
+      EXPECT_EQ(serial.rankings[u][i].vertex, parallel.rankings[u][i].vertex);
+      EXPECT_EQ(serial.rankings[u][i].score, parallel.rankings[u][i].score);
+    }
   }
 }
 

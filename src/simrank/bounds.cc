@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "simrank/monte_carlo.h"
 #include "util/counter.h"
@@ -52,6 +53,32 @@ std::vector<double> AssembleBeta(const std::vector<std::vector<double>>& alpha,
 
 }  // namespace
 
+GammaTable::GammaTable(const std::vector<double>& diagonal,
+                       uint32_t num_steps, double decay)
+    : num_vertices_(static_cast<Vertex>(diagonal.size())),
+      num_steps_(num_steps),
+      decay_(decay) {
+  SIMRANK_CHECK_GE(num_steps, 1u);
+  double max_diagonal = 0.0;
+  for (double d : diagonal) max_diagonal = std::max(max_diagonal, d);
+  scale_ = std::sqrt(max_diagonal);
+  step_ = scale_ / kMaxCode;
+  while (step_ * kMaxCode < scale_) step_ = std::nextafter(step_, HUGE_VAL);
+  codes_.assign(static_cast<size_t>(num_vertices_) * (num_steps - 1), 0);
+}
+
+uint16_t GammaTable::Encode(double gamma, double step) {
+  if (!(gamma > 0.0)) return 0;
+  const double units = std::ceil(gamma / step);
+  // The comparison also sends an infinite or NaN quotient to the top.
+  uint32_t code = units < kMaxCode ? static_cast<uint32_t>(units) : kMaxCode;
+  // The rounded quotient can be a unit off either way; settle on the
+  // smallest code whose decoded value covers gamma.
+  while (code < kMaxCode && code * step < gamma) ++code;
+  while (code > 0 && (code - 1) * step >= gamma) --code;
+  return static_cast<uint16_t>(code);
+}
+
 GammaTable GammaTable::BuildMonteCarlo(const DirectedGraph& graph,
                                        const SimRankParams& params,
                                        const std::vector<double>& diagonal,
@@ -60,7 +87,7 @@ GammaTable GammaTable::BuildMonteCarlo(const DirectedGraph& graph,
   params.Validate();
   SIMRANK_CHECK_EQ(diagonal.size(), graph.NumVertices());
   SIMRANK_CHECK_GE(num_walks, 1u);
-  GammaTable table(graph.NumVertices(), params.num_steps, params.decay);
+  GammaTable table(diagonal, params.num_steps, params.decay);
   const double inv_walks_sq =
       1.0 / (static_cast<double>(num_walks) * num_walks);
   ParallelFor(pool, 0, graph.NumVertices(), [&](size_t u) {
@@ -69,20 +96,17 @@ GammaTable GammaTable::BuildMonteCarlo(const DirectedGraph& graph,
     Rng rng(MixSeeds(seed, u));
     WalkSet walks(graph, static_cast<Vertex>(u), num_walks);
     WalkCounter counter(num_walks);
-    for (uint32_t t = 0; t < params.num_steps; ++t) {
+    uint16_t* row = table.codes_.data() + table.Row(static_cast<Vertex>(u));
+    // Steps after every walk died keep code 0.
+    for (uint32_t t = 1; t < params.num_steps && !walks.AllDead(); ++t) {
       counter.Clear();
-      counter.AddAll(walks.live());
+      walks.AdvanceCounted(rng, counter);
       // mu = sum_w D_ww (count(w)/R)^2, gamma = sqrt(mu) (Algorithm 3).
       double mu = 0.0;
       counter.ForEach([&](Vertex w, uint32_t count) {
         mu += diagonal[w] * static_cast<double>(count) * count;
       });
-      table.values_[u * params.num_steps + t] =
-          static_cast<float>(std::sqrt(mu * inv_walks_sq));
-      if (t + 1 < params.num_steps) {
-        if (walks.AllDead()) break;  // remaining gammas stay 0
-        walks.Advance(rng);
-      }
+      row[t - 1] = Encode(std::sqrt(mu * inv_walks_sq), table.step_);
     }
   });
   return table;
@@ -94,19 +118,15 @@ GammaTable GammaTable::BuildExact(const DirectedGraph& graph,
                                   ThreadPool* pool) {
   params.Validate();
   SIMRANK_CHECK_EQ(diagonal.size(), graph.NumVertices());
-  GammaTable table(graph.NumVertices(), params.num_steps, params.decay);
+  GammaTable table(diagonal, params.num_steps, params.decay);
   const Vertex n = graph.NumVertices();
   ParallelFor(pool, 0, n, [&](size_t u) {
     std::vector<double> current(n, 0.0), next(n, 0.0);
     std::vector<Vertex> support, next_support;
     current[u] = 1.0;
     support.push_back(static_cast<Vertex>(u));
-    for (uint32_t t = 0; t < params.num_steps; ++t) {
-      double mu = 0.0;
-      for (Vertex w : support) mu += diagonal[w] * current[w] * current[w];
-      table.values_[u * params.num_steps + t] =
-          static_cast<float>(std::sqrt(mu));
-      if (t + 1 == params.num_steps) break;
+    uint16_t* row = table.codes_.data() + table.Row(static_cast<Vertex>(u));
+    for (uint32_t t = 1; t < params.num_steps && !support.empty(); ++t) {
       for (Vertex w : next_support) next[w] = 0.0;
       next_support.clear();
       for (Vertex v : support) {
@@ -120,18 +140,20 @@ GammaTable GammaTable::BuildExact(const DirectedGraph& graph,
       }
       current.swap(next);
       support.swap(next_support);
-      if (support.empty()) break;
+      double mu = 0.0;
+      for (Vertex w : support) mu += diagonal[w] * current[w] * current[w];
+      row[t - 1] = Encode(std::sqrt(mu), table.step_);
     }
   });
   return table;
 }
 
-GammaTable GammaTable::FromData(Vertex num_vertices, uint32_t num_steps,
-                                double decay, std::vector<float> values) {
-  SIMRANK_CHECK_EQ(values.size(),
-                   static_cast<size_t>(num_vertices) * num_steps);
-  GammaTable table(num_vertices, num_steps, decay);
-  table.values_ = std::move(values);
+GammaTable GammaTable::FromCodes(const std::vector<double>& diagonal,
+                                 uint32_t num_steps, double decay,
+                                 std::vector<uint16_t> codes) {
+  GammaTable table(diagonal, num_steps, decay);
+  SIMRANK_CHECK_EQ(codes.size(), table.codes_.size());
+  table.codes_ = std::move(codes);
   return table;
 }
 
@@ -139,19 +161,23 @@ double GammaTable::BoundAtDistance(Vertex u, Vertex v,
                                    uint32_t distance) const {
   SIMRANK_CHECK_LT(u, num_vertices_);
   SIMRANK_CHECK_LT(v, num_vertices_);
-  const float* gu = values_.data() + static_cast<size_t>(u) * num_steps_;
-  const float* gv = values_.data() + static_cast<size_t>(v) * num_steps_;
   // No path: the walk distributions never overlap.
   if (distance == kInfiniteDistance) return 0.0;
   // First step whose radius-t balls around u and v can intersect.
   const uint32_t first_step = (distance + 1) / 2;
   if (first_step >= num_steps_) return 0.0;
+  const uint16_t* cu = codes_.data() + Row(u);
+  const uint16_t* cv = codes_.data() + Row(v);
+  const uint32_t first_stored = std::max(first_step, 1u);
   double sum = 0.0;
-  double decay_pow = std::pow(decay_, first_step);
-  for (uint32_t t = first_step; t < num_steps_; ++t) {
-    sum += decay_pow * static_cast<double>(gu[t]) * gv[t];
+  double decay_pow = std::pow(decay_, first_stored);
+  for (uint32_t t = first_stored; t < num_steps_; ++t) {
+    sum += decay_pow * (static_cast<double>(cu[t - 1]) * cv[t - 1]);
     decay_pow *= decay_;
   }
+  sum *= step_ * step_;
+  // The unstored step 0 counts only at distance 0.
+  if (first_step == 0) sum += scale_ * scale_;
   return sum;
 }
 

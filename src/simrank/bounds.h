@@ -28,12 +28,24 @@ double DistanceBound(double decay, uint32_t distance);
 ///
 /// gamma(u,t) = || sqrt(D) P^t e_u ||_2. By Cauchy-Schwarz (Prop. 6),
 ///   s^(T)(u,v) <= sum_t c^t gamma(u,t) gamma(v,t).
-/// The table stores gamma for every vertex and step: n * T floats, built
-/// once in the preprocess phase by Monte-Carlo simulation (R walks per
-/// vertex). Most effective for high-degree query vertices, whose walk
+/// Built once in the preprocess phase by Monte-Carlo simulation (R walks
+/// per vertex). Most effective for high-degree query vertices, whose walk
 /// distribution spreads fast (§6.3).
+///
+/// Storage is 2 n (T-1) bytes. P^t e_u is a sub-probability vector, so
+/// every gamma is at most the table's scale sqrt(max_w D_ww). Steps
+/// t = 1..T-1 are stored as 16-bit codes of one table-wide step,
+/// scale / 65535, rounded up: a decoded gamma is at least the value the
+/// build computed and less than one step above it, so every bound below
+/// stays a valid upper bound. Step 0, gamma(u,0) = sqrt(D_uu), is not
+/// stored because no query reads it (every candidate has d >= 1);
+/// Gamma(u, 0) returns the scale instead, which is exact under the uniform
+/// D ~ (1-c)I and an upper bound otherwise.
 class GammaTable {
  public:
+  /// The largest code; it decodes to at least the scale.
+  static constexpr uint32_t kMaxCode = 65535;
+
   /// Monte-Carlo build (Algorithm 3). `pool` may be null (serial).
   static GammaTable BuildMonteCarlo(const DirectedGraph& graph,
                                     const SimRankParams& params,
@@ -48,19 +60,31 @@ class GammaTable {
                                const std::vector<double>& diagonal,
                                ThreadPool* pool = nullptr);
 
-  /// Reassembles a table from previously stored values (serialization
-  /// path); `values` must have num_vertices * num_steps entries.
-  static GammaTable FromData(Vertex num_vertices, uint32_t num_steps,
-                             double decay, std::vector<float> values);
+  /// Reassembles a table from stored codes (serialization path). The step
+  /// is recomputed from `diagonal`, which must be the diagonal the table
+  /// was built with; `codes` must have diagonal.size() * (num_steps - 1)
+  /// entries.
+  static GammaTable FromCodes(const std::vector<double>& diagonal,
+                              uint32_t num_steps, double decay,
+                              std::vector<uint16_t> codes);
+
+  /// The smallest code whose decoded value code * step is >= gamma, capped
+  /// at kMaxCode; the decoded value is thus less than one step above
+  /// gamma. Zero, negative and NaN gammas encode to 0.
+  static uint16_t Encode(double gamma, double step);
 
   uint32_t num_steps() const { return num_steps_; }
   Vertex num_vertices() const { return num_vertices_; }
   double decay() const { return decay_; }
-  /// Raw row-major values (vertex-major, step-minor); for serialization.
-  const std::vector<float>& values() const { return values_; }
+  /// sqrt(max_w D_ww): an upper bound on every gamma, returned for step 0.
+  double scale() const { return scale_; }
+  /// One code unit, the smallest double with kMaxCode * step >= scale.
+  double step() const { return step_; }
+  /// Raw codes, vertex-major over steps 1..T-1; for serialization.
+  const std::vector<uint16_t>& codes() const { return codes_; }
 
-  float Gamma(Vertex u, uint32_t t) const {
-    return values_[static_cast<size_t>(u) * num_steps_ + t];
+  double Gamma(Vertex u, uint32_t t) const {
+    return t == 0 ? scale_ : codes_[Row(u) + t - 1] * step_;
   }
 
   /// The L2 upper bound sum_t c^t gamma(u,t) gamma(v,t) (Prop. 6,
@@ -76,22 +100,29 @@ class GammaTable {
   /// exactly zero. Strictly tighter than Prop. 6 and still a valid upper
   /// bound on s^(T)(u,v); this is what Algorithm 5 prunes with. Any lower
   /// bound on d(u,v) keeps it valid (fewer terms are dropped);
-  /// kInfiniteDistance (no path) gives 0.
+  /// kInfiniteDistance (no path) gives 0. Sums products of integer codes
+  /// and scales the sum once by step^2.
   double BoundAtDistance(Vertex u, Vertex v, uint32_t distance) const;
 
-  uint64_t MemoryBytes() const { return values_.capacity() * sizeof(float); }
+  uint64_t MemoryBytes() const {
+    return codes_.capacity() * sizeof(uint16_t);
+  }
 
  private:
-  GammaTable(Vertex num_vertices, uint32_t num_steps, double decay)
-      : num_vertices_(num_vertices),
-        num_steps_(num_steps),
-        decay_(decay),
-        values_(static_cast<size_t>(num_vertices) * num_steps, 0.0f) {}
+  GammaTable(const std::vector<double>& diagonal, uint32_t num_steps,
+             double decay);
+
+  /// Offset of u's codes: steps 1..T-1 at Row(u) + t - 1.
+  size_t Row(Vertex u) const {
+    return static_cast<size_t>(u) * (num_steps_ - 1);
+  }
 
   Vertex num_vertices_;
   uint32_t num_steps_;
   double decay_;
-  std::vector<float> values_;
+  double scale_ = 0.0;
+  double step_ = 0.0;
+  std::vector<uint16_t> codes_;
 };
 
 /// --- L1 bound (§6.1, Algorithm 2; query time) ---

@@ -133,6 +133,7 @@ class MonteCarloSimRank {
                     std::vector<double> diagonal);
 
   const SimRankParams& params() const { return params_; }
+  const std::vector<double>& diagonal() const { return diagonal_; }
 
   /// Full Algorithm 1: R walks from u, R walks from v, collision-weighted
   /// sum. Returns an unbiased estimate of s^(T)(u, v) for u != v.

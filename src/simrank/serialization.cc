@@ -12,7 +12,10 @@ namespace simrank {
 
 namespace {
 
-constexpr uint64_t kIndexMagic = 0x53524b49'44583031ULL;  // "SRKIDX01"
+// Format 2 stores the gamma table as 16-bit codes of steps 1..T-1.
+constexpr uint64_t kIndexMagic = 0x53524b49'44583032ULL;  // "SRKIDX02"
+// Format 1 stored it as n * T floats; it is recognized only to reject it.
+constexpr uint64_t kIndexMagicFormat1 = 0x53524b49'44583031ULL;  // "SRKIDX01"
 
 // Flag bits recording which structures the file contains.
 constexpr uint32_t kHasGamma = 1u << 0;
@@ -41,7 +44,7 @@ Status SaveSearcherIndex(const TopKSearcher& searcher,
   writer.Write(flags);
   writer.WriteVector(searcher.diagonal());
   if (const GammaTable* gamma = searcher.gamma_table(); gamma != nullptr) {
-    writer.WriteVector(gamma->values());
+    writer.WriteVector(gamma->codes());
   }
   if (const CandidateIndex* index = searcher.candidate_index();
       index != nullptr) {
@@ -59,10 +62,14 @@ Result<TopKSearcher> LoadSearcherIndex(const DirectedGraph& graph,
   uint64_t magic = 0, num_vertices = 0, num_edges = 0;
   double decay = 0.0;
   uint32_t num_steps = 0, flags = 0;
-  if (!reader.Read(magic) || magic != kIndexMagic) {
-    return reader.ok()
-               ? Status::Corruption(path + " is not a simrank index file")
-               : reader.status();
+  if (!reader.Read(magic)) return reader.status();
+  if (magic == kIndexMagicFormat1) {
+    return Status::InvalidArgument(
+        path + " is a format-1 simrank index, which this build no longer "
+               "reads; re-run `preprocess` to rebuild it in format 2");
+  }
+  if (magic != kIndexMagic) {
+    return Status::Corruption(path + " is not a simrank index file");
   }
   if (!reader.Read(num_vertices) || !reader.Read(num_edges) ||
       !reader.Read(decay) || !reader.Read(num_steps) ||
@@ -91,20 +98,26 @@ Result<TopKSearcher> LoadSearcherIndex(const DirectedGraph& graph,
   if (diagonal.size() != graph.NumVertices()) {
     return Status::Corruption(path + ": diagonal size mismatch");
   }
+  // Payloads the options disable are skipped, not kept: no query would
+  // read them.
   std::unique_ptr<GammaTable> gamma;
-  if ((flags & kHasGamma) != 0) {
-    std::vector<float> values;
-    if (!reader.ReadVector(values)) return reader.status();
-    if (values.size() !=
-        static_cast<size_t>(num_vertices) * num_steps) {
+  if ((flags & kHasGamma) != 0 && !options.use_l2_bound) {
+    if (!reader.SkipVector<uint16_t>()) return reader.status();
+  } else if ((flags & kHasGamma) != 0) {
+    std::vector<uint16_t> codes;
+    if (!reader.ReadVector(codes)) return reader.status();
+    if (codes.size() != static_cast<size_t>(num_vertices) * (num_steps - 1)) {
       return Status::Corruption(path + ": gamma table size mismatch");
     }
-    gamma = std::make_unique<GammaTable>(GammaTable::FromData(
-        static_cast<Vertex>(num_vertices), num_steps, decay,
-        std::move(values)));
+    gamma = std::make_unique<GammaTable>(
+        GammaTable::FromCodes(diagonal, num_steps, decay, std::move(codes)));
   }
   std::unique_ptr<CandidateIndex> index;
-  if ((flags & kHasCandidateIndex) != 0) {
+  if ((flags & kHasCandidateIndex) != 0 && !options.use_index) {
+    if (!reader.SkipVector<uint64_t>() || !reader.SkipVector<Vertex>()) {
+      return reader.status();
+    }
+  } else if ((flags & kHasCandidateIndex) != 0) {
     std::vector<uint64_t> offsets;
     std::vector<Vertex> hubs;
     if (!reader.ReadVector(offsets) || !reader.ReadVector(hubs)) {

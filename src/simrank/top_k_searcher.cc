@@ -111,6 +111,21 @@ size_t QueryArenaBudget(const SearchOptions& options) {
   return bytes + 4096;
 }
 
+// Publishes the preprocess structures' sizes next to their sum, which is
+// TopKSearcher::PreprocessBytes().
+void PublishIndexBytes(const GammaTable* gamma, const CandidateIndex* index) {
+  const uint64_t gamma_bytes = gamma != nullptr ? gamma->MemoryBytes() : 0;
+  const uint64_t candidate_bytes =
+      index != nullptr ? index->MemoryBytes() : 0;
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  registry.GetGauge("index.gamma_bytes")
+      .Set(static_cast<int64_t>(gamma_bytes));
+  registry.GetGauge("index.candidate_bytes")
+      .Set(static_cast<int64_t>(candidate_bytes));
+  registry.GetGauge("index.bytes")
+      .Set(static_cast<int64_t>(gamma_bytes + candidate_bytes));
+}
+
 }  // namespace
 
 QueryWorkspace::QueryWorkspace(const TopKSearcher& searcher)
@@ -168,16 +183,15 @@ TopKSearcher::TopKSearcher(const DirectedGraph& graph, SearchOptions options,
                            std::vector<double> diagonal)
     : graph_(graph),
       options_(options),
-      diagonal_(std::move(diagonal)),
       workspace_pool_(std::make_unique<WorkspacePool>()) {
   options_.simrank.Validate();
-  SIMRANK_CHECK_EQ(diagonal_.size(), graph.NumVertices());
+  SIMRANK_CHECK_EQ(diagonal.size(), graph.NumVertices());
   SIMRANK_CHECK_GE(options_.threshold, 0.0);
   SIMRANK_CHECK_GE(options_.refine_walks, 1u);
   SIMRANK_CHECK_GE(options_.estimate_walks, 1u);
   SIMRANK_CHECK_GE(options_.profile_walks, 1u);
   estimator_ = std::make_unique<MonteCarloSimRank>(graph, options_.simrank,
-                                                   diagonal_);
+                                                   std::move(diagonal));
 }
 
 void TopKSearcher::BuildIndex(ThreadPool* pool) {
@@ -188,10 +202,10 @@ void TopKSearcher::BuildIndex(ThreadPool* pool) {
   if (diagonal_pending_) {
     obs::ScopedSpan span("estimate_diagonal");
     WallTimer diagonal_timer;
-    diagonal_ = EstimateDiagonalFixedPoint(graph_, options_.simrank,
-                                           options_.diagonal_options, pool);
-    estimator_ = std::make_unique<MonteCarloSimRank>(graph_, options_.simrank,
-                                                     diagonal_);
+    estimator_ = std::make_unique<MonteCarloSimRank>(
+        graph_, options_.simrank,
+        EstimateDiagonalFixedPoint(graph_, options_.simrank,
+                                   options_.diagonal_options, pool));
     diagonal_pending_ = false;
     diagonal_seconds_ = diagonal_timer.ElapsedSeconds();
     registry.GetGauge("index.build_diagonal_us")
@@ -201,7 +215,7 @@ void TopKSearcher::BuildIndex(ThreadPool* pool) {
     obs::ScopedSpan span("gamma_table");
     WallTimer gamma_timer;
     gamma_ = std::make_unique<GammaTable>(GammaTable::BuildMonteCarlo(
-        graph_, options_.simrank, diagonal_, options_.gamma_walks,
+        graph_, options_.simrank, diagonal(), options_.gamma_walks,
         MixSeeds(options_.seed, 0xA1505), pool));
     registry.GetGauge("index.build_gamma_us")
         .Set(static_cast<int64_t>(gamma_timer.ElapsedSeconds() * 1e6));
@@ -222,8 +236,7 @@ void TopKSearcher::BuildIndex(ThreadPool* pool) {
   registry.GetCounter("index.builds").Add(1);
   registry.GetGauge("index.build_total_us")
       .Set(static_cast<int64_t>(preprocess_seconds_ * 1e6));
-  registry.GetGauge("index.bytes")
-      .Set(static_cast<int64_t>(PreprocessBytes()));
+  PublishIndexBytes(gamma_.get(), index_.get());
   if (pool != nullptr) {
     const ThreadPoolStats pool_stats = pool->stats();
     registry.GetGauge("threadpool.tasks_executed")
@@ -250,6 +263,7 @@ void TopKSearcher::AdoptPrebuiltIndex(std::unique_ptr<GammaTable> gamma,
   diagonal_pending_ = false;
   index_built_ = true;
   preprocess_seconds_ = 0.0;
+  PublishIndexBytes(gamma_.get(), index_.get());
 }
 
 uint64_t TopKSearcher::PreprocessBytes() const {
@@ -353,7 +367,7 @@ QueryResult TopKSearcher::Query(Vertex query, QueryWorkspace& workspace,
   std::vector<double> beta;
   if (options_.use_l1_bound) {
     obs::ScopedSpan span("l1_bound");
-    beta = ComputeL1Beta(graph_, params, diagonal_, query, options_.l1_walks,
+    beta = ComputeL1Beta(graph_, params, diagonal(), query, options_.l1_walks,
                          workspace.bfs_, options_.max_distance, rng,
                          &workspace.arena_);
   }

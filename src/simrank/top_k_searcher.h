@@ -210,7 +210,10 @@ class TopKSearcher {
 
   const DirectedGraph& graph() const { return graph_; }
   const SearchOptions& options() const { return options_; }
-  const std::vector<double>& diagonal() const { return diagonal_; }
+  /// The diagonal correction D, held once by the estimator.
+  const std::vector<double>& diagonal() const {
+    return estimator_->diagonal();
+  }
 
   /// Answers a top-k query: the best k vertices scoring > 0 and >=
   /// threshold. Requires BuildIndex() first when the options enable the
@@ -242,11 +245,11 @@ class TopKSearcher {
 
   const DirectedGraph& graph_;
   SearchOptions options_;
-  std::vector<double> diagonal_;
   /// True until BuildIndex has replaced the provisional uniform diagonal
   /// with the fixed-point estimate (only when options_.estimate_diagonal
   /// is set and no explicit diagonal was supplied).
   bool diagonal_pending_ = false;
+  /// Holds the diagonal (diagonal()) as well as scoring candidates.
   std::unique_ptr<MonteCarloSimRank> estimator_;
   std::unique_ptr<GammaTable> gamma_;
   std::unique_ptr<CandidateIndex> index_;

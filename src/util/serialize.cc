@@ -35,6 +35,29 @@ BinaryReader::~BinaryReader() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
+bool BinaryReader::ReadLength(size_t element_size, uint64_t max_bytes,
+                              uint64_t& size) {
+  if (!Read(size)) return false;
+  if (size > max_bytes / element_size || size > remaining_ / element_size) {
+    status_ = Status::Corruption(path_ + ": implausible vector length");
+    return false;
+  }
+  return true;
+}
+
+bool BinaryReader::SkipBytes(uint64_t size) {
+  if (!status_.ok()) return false;
+  // ReadLength has checked that `size` fits in the rest of the file, whose
+  // length ftell reported as a long.
+  if (std::fseek(file_, static_cast<long>(size), SEEK_CUR) != 0) {
+    status_ = Status::IoError("cannot seek in " + path_ + ": " +
+                              std::strerror(errno));
+    return false;
+  }
+  remaining_ -= size;
+  return true;
+}
+
 bool BinaryReader::ReadBytes(void* data, size_t size) {
   if (!status_.ok()) return false;
   if (size == 0) return true;

@@ -82,20 +82,31 @@ class BinaryReader {
                   uint64_t max_bytes = 1ull << 40) {
     static_assert(std::is_trivially_copyable_v<T>);
     uint64_t size = 0;
-    if (!Read(size)) return false;
-    if (size > max_bytes / sizeof(T) || size > remaining_ / sizeof(T)) {
-      status_ = Status::Corruption(path_ + ": implausible vector length");
-      return false;
-    }
+    if (!ReadLength(sizeof(T), max_bytes, size)) return false;
     values.resize(size);
     return ReadBytes(values.data(), size * sizeof(T));
+  }
+
+  /// Consumes a length-prefixed vector of T without materializing it. It
+  /// allocates nothing, so only the bytes the file has left bound the
+  /// length.
+  template <typename T>
+  bool SkipVector() {
+    static_assert(std::is_trivially_copyable_v<T>);
+    uint64_t size = 0;
+    return ReadLength(sizeof(T), ~uint64_t{0}, size) &&
+           SkipBytes(size * sizeof(T));
   }
 
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }
 
  private:
+  /// Reads a vector's length prefix into `size` and rejects lengths whose
+  /// elements would pass `max_bytes` or the bytes the file has left.
+  bool ReadLength(size_t element_size, uint64_t max_bytes, uint64_t& size);
   bool ReadBytes(void* data, size_t size);
+  bool SkipBytes(uint64_t size);
 
   std::FILE* file_;
   /// Bytes of the file not yet consumed (from the size at open).

@@ -83,7 +83,7 @@ TEST(CorruptionFuzzTest, SearcherIndexSurvivesTruncationAndFlips) {
   const std::string path = testing::ScratchPath("fuzz_index.idx");
   ASSERT_TRUE(SaveSearcherIndex(searcher, path).ok());
   const std::string bytes = Slurp(path);
-  // Value payloads (diagonal doubles, gamma floats) tolerate bit flips;
+  // Value payloads (diagonal doubles, gamma codes) tolerate bit flips;
   // the ~36 structural bytes (magic, n, m, decay, steps) must not.
   FuzzFile(
       bytes, path,

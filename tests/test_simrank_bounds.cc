@@ -72,39 +72,123 @@ TEST(DistanceBoundTest, PathThreeShowsWhyHalfDistanceIsNeeded) {
 
 TEST(GammaTableTest, ExactGammaOnStar) {
   // From the center, P e_0 is uniform over 3 leaves: gamma(0,1) =
-  // sqrt(3 (1-c) / 9) with D = (1-c)I.
+  // sqrt(3 (1-c) / 9) with D = (1-c)I. Stored codes round up by less than
+  // one step; step 0 is the scale sqrt(max D), exact under uniform D.
   const DirectedGraph star = testing::ExampleOneStar();
   const SimRankParams params = Params(0.6, 3);
   const GammaTable table =
       GammaTable::BuildExact(star, params, UniformDiagonal(4, 0.6));
-  EXPECT_NEAR(table.Gamma(0, 0), std::sqrt(0.4), 1e-6);
-  EXPECT_NEAR(table.Gamma(0, 1), std::sqrt(0.4 / 3.0), 1e-6);
+  const double step = table.step();
+  EXPECT_EQ(table.scale(), std::sqrt(0.4));
+  EXPECT_EQ(table.Gamma(0, 0), std::sqrt(0.4));
+  const double center = std::sqrt(0.4 / 3.0);
+  EXPECT_LE(center, table.Gamma(0, 1));
+  EXPECT_LE(table.Gamma(0, 1), center + step);
   // Leaves walk deterministically to the center: gamma(1,1) = sqrt(1-c).
-  EXPECT_NEAR(table.Gamma(1, 1), std::sqrt(0.4), 1e-6);
+  EXPECT_LE(std::sqrt(0.4), table.Gamma(1, 1));
+  EXPECT_LE(table.Gamma(1, 1), std::sqrt(0.4) + step);
+}
+
+TEST(GammaTableTest, EncodeRoundsUpByLessThanOneStep) {
+  // decode(encode(x)) = Encode(x, step) * step is >= x and less than one
+  // step above it (one code lower would not cover x) for every x in
+  // [0, scale], and Encode is monotone.
+  Rng rng(316);
+  for (double scale : {std::sqrt(0.4), 1.0, std::sqrt(0.123), 3e-150}) {
+    const GammaTable table = GammaTable::BuildExact(
+        MakePath(2), Params(0.6, 2), std::vector<double>{scale * scale, 0.0});
+    const double step = table.step();
+    ASSERT_GE(GammaTable::kMaxCode * step, table.scale());
+    std::vector<double> xs = {0.0, table.scale(), step, 0.5 * step};
+    for (int i = 0; i < 20000; ++i) {
+      xs.push_back(rng.UniformDouble() * table.scale());
+      const double on_grid = (1 + rng.UniformIndex(65534)) * step;
+      xs.push_back(on_grid);
+      xs.push_back(std::nextafter(on_grid, 0.0));
+      xs.push_back(std::nextafter(on_grid, HUGE_VAL));
+    }
+    std::sort(xs.begin(), xs.end());
+    uint16_t previous = 0;
+    for (double x : xs) {
+      if (x > table.scale()) continue;
+      const uint16_t code = GammaTable::Encode(x, step);
+      const double decoded = code * step;
+      ASSERT_GE(decoded, x) << "scale=" << scale << " x=" << x;
+      if (code > 0) {
+        ASSERT_LT((code - 1) * step, x) << "scale=" << scale << " x=" << x;
+      }
+      ASSERT_GE(code, previous) << "scale=" << scale << " x=" << x;
+      previous = code;
+    }
+  }
+  EXPECT_EQ(GammaTable::Encode(-1.0, 0.1), 0);
+  EXPECT_EQ(GammaTable::Encode(std::nan(""), 0.1), 0);
+}
+
+TEST(GammaTableTest, StoredCodesRoundUpTheGammaTheBuildComputes) {
+  // Every stored gamma(u,t), t >= 1, is within one step above
+  // ||sqrt(D) P^t e_u||, propagated here densely and independently of the
+  // build, for a non-uniform diagonal.
+  const DirectedGraph graph = testing::SmallRandomGraph(40, 317, 25);
+  const Vertex n = graph.NumVertices();
+  const SimRankParams params = Params(0.6, 6);
+  std::vector<double> diag(n);
+  Rng rng(318);
+  for (double& d : diag) d = 0.3 + 0.2 * rng.UniformDouble();
+  const GammaTable table = GammaTable::BuildExact(graph, params, diag);
+  EXPECT_EQ(table.scale(),
+            std::sqrt(*std::max_element(diag.begin(), diag.end())));
+  ASSERT_EQ(table.codes().size(), size_t{n} * (params.num_steps - 1));
+  for (Vertex u = 0; u < n; ++u) {
+    EXPECT_GE(table.Gamma(u, 0), std::sqrt(diag[u]));
+    std::vector<double> p(n, 0.0);
+    p[u] = 1.0;
+    for (uint32_t t = 1; t < params.num_steps; ++t) {
+      std::vector<double> next(n, 0.0);
+      for (Vertex v = 0; v < n; ++v) {
+        const auto in_v = graph.InNeighbors(v);
+        for (Vertex w : in_v) next[w] += p[v] / in_v.size();
+      }
+      p.swap(next);
+      double mu = 0.0;
+      for (Vertex w = 0; w < n; ++w) mu += diag[w] * p[w] * p[w];
+      const double gamma = std::sqrt(mu);
+      // Summation order differs from the build's; allow roundoff.
+      EXPECT_GE(table.Gamma(u, t), gamma - 1e-12) << u << "," << t;
+      EXPECT_LT(table.Gamma(u, t), gamma + table.step() + 1e-12)
+          << u << "," << t;
+    }
+  }
 }
 
 TEST(GammaTableTest, ExactBoundDominatesTruncatedScore) {
   // Proposition 6: s^(T)(u,v) <= sum_t c^t gamma(u,t) gamma(v,t), checked
-  // for every pair on random graphs with the exact gamma.
+  // for every pair on random graphs with the exact gamma, under the
+  // uniform diagonal and a non-uniform one (where step 0's scale stands in
+  // for sqrt(D_uu)).
   for (uint64_t seed : {303ULL, 304ULL}) {
     const DirectedGraph graph = testing::SmallRandomGraph(50, seed, 30);
     const SimRankParams params = Params(0.6, 11);
-    const std::vector<double> diag =
-        UniformDiagonal(graph.NumVertices(), params.decay);
-    const GammaTable table = GammaTable::BuildExact(graph, params, diag);
-    const LinearSimRank linear(graph, params, diag);
-    BfsWorkspace bfs(graph);
-    for (Vertex u = 0; u < graph.NumVertices(); u += 5) {
-      const std::vector<double> row = linear.SingleSource(u);
-      bfs.Run(u, EdgeDirection::kUndirected);
-      for (Vertex v = 0; v < graph.NumVertices(); ++v) {
-        // float storage costs ~1e-7 relative precision; allow for it.
-        EXPECT_LE(row[v], table.Bound(u, v) + 1e-5) << u << "," << v;
-        // The distance-sharpened variant must also dominate.
-        const uint32_t d = bfs.Distance(v);
-        if (d != kInfiniteDistance) {
-          EXPECT_LE(row[v], table.BoundAtDistance(u, v, d) + 1e-5)
-              << u << "," << v;
+    std::vector<double> skewed(graph.NumVertices());
+    Rng rng(seed);
+    for (double& d : skewed) d = 0.2 + 0.4 * rng.UniformDouble();
+    for (const std::vector<double>& diag :
+         {UniformDiagonal(graph.NumVertices(), params.decay), skewed}) {
+      const GammaTable table = GammaTable::BuildExact(graph, params, diag);
+      const LinearSimRank linear(graph, params, diag);
+      BfsWorkspace bfs(graph);
+      for (Vertex u = 0; u < graph.NumVertices(); u += 5) {
+        const std::vector<double> row = linear.SingleSource(u);
+        bfs.Run(u, EdgeDirection::kUndirected);
+        for (Vertex v = 0; v < graph.NumVertices(); ++v) {
+          // Codes round up, so only double roundoff needs slack.
+          EXPECT_LE(row[v], table.Bound(u, v) + 1e-12) << u << "," << v;
+          // The distance-sharpened variant must also dominate.
+          const uint32_t d = bfs.Distance(v);
+          if (d != kInfiniteDistance) {
+            EXPECT_LE(row[v], table.BoundAtDistance(u, v, d) + 1e-12)
+                << u << "," << v;
+          }
         }
       }
     }
@@ -167,11 +251,11 @@ TEST(GammaTableTest, MonteCarloIsDeterministicInSeedAndThreads) {
 }
 
 TEST(GammaTableTest, MemoryIsLinearInVerticesTimesSteps) {
+  // One 16-bit code per vertex and step 1..T-1.
   const DirectedGraph graph = testing::SmallRandomGraph(100, 307);
   const GammaTable table = GammaTable::BuildExact(
       graph, Params(0.6, 11), UniformDiagonal(100, 0.6));
-  EXPECT_GE(table.MemoryBytes(), 100u * 11 * sizeof(float));
-  EXPECT_LE(table.MemoryBytes(), 2 * 100u * 11 * sizeof(float));
+  EXPECT_EQ(table.MemoryBytes(), 100u * (11 - 1) * 2);
 }
 
 // ---------- L1 bound (alpha/beta) ----------

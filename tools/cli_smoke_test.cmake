@@ -10,6 +10,13 @@ function(run_checked)
   set(LAST_OUTPUT "${out}" PARENT_SCOPE)
 endfunction()
 
+# The ranking table's rows (header included) of a query's output.
+function(ranking_table output var)
+  string(REGEX MATCHALL "\\|[^\n]*\n" rows "${output}")
+  list(JOIN rows "" table)
+  set(${var} "${table}" PARENT_SCOPE)
+endfunction()
+
 set(graph ${WORK_DIR}/cli_smoke_graph.bin)
 set(index ${WORK_DIR}/cli_smoke.idx)
 
@@ -24,7 +31,14 @@ run_checked(${CLI} query ${graph} --index=${index} --vertex=5 --k=5)
 if(NOT LAST_OUTPUT MATCHES "rank")
   message(FATAL_ERROR "query did not print a ranking: ${LAST_OUTPUT}")
 endif()
+ranking_table("${LAST_OUTPUT}" loaded_ranking)
 run_checked(${CLI} query ${graph} --vertex=5 --k=5)
+ranking_table("${LAST_OUTPUT}" built_ranking)
+# A loaded index answers exactly like a fresh in-process build.
+if(NOT loaded_ranking STREQUAL built_ranking)
+  message(FATAL_ERROR "query --index ranked differently from the in-process"
+          " query:\n${loaded_ranking}\nvs\n${built_ranking}")
+endif()
 run_checked(${CLI} pair ${graph} --u=5 --v=6)
 if(NOT LAST_OUTPUT MATCHES "deterministic")
   message(FATAL_ERROR "pair did not print estimators: ${LAST_OUTPUT}")

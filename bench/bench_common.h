@@ -181,11 +181,10 @@ class BenchJsonReporter {
 
   /// Writes the JSON document if --json was given. Returns false (after
   /// printing a diagnostic) on IO failure.
-  bool Finish(const obs::SpanNode* trace = nullptr) {
+  bool Finish() {
     if (args_.json_path.empty()) return true;
-    const Status status =
-        obs::WriteJson(args_.json_path, report_,
-                       obs::MetricsRegistry::Default().Snapshot(), trace);
+    const Status status = obs::WriteJson(
+        args_.json_path, report_, obs::MetricsRegistry::Default().Snapshot());
     if (!status.ok()) {
       std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
       return false;

@@ -9,7 +9,6 @@
 
 #include "graph/builder.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 #include "util/atomic_file.h"
 #include "util/fault_injection.h"
 
@@ -100,7 +99,6 @@ Result<DirectedGraph> ParseLines(const std::string& text,
 
 Result<DirectedGraph> ParseEdgeListText(const std::string& text,
                                         const EdgeListOptions& options) {
-  obs::ScopedSpan span("parse_edge_list");
   Result<DirectedGraph> result = ParseLines(text, options);
   if (result.ok()) RecordLoad(text.size(), *result);
   return result;
@@ -108,7 +106,6 @@ Result<DirectedGraph> ParseEdgeListText(const std::string& text,
 
 Result<DirectedGraph> LoadEdgeListText(const std::string& path,
                                        const EdgeListOptions& options) {
-  obs::ScopedSpan span("load_edge_list");
   SIMRANK_FAULT_POINT("io.load_edgelist");
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) {
@@ -168,7 +165,6 @@ Status SaveBinary(const DirectedGraph& graph, const std::string& path) {
 }
 
 Result<DirectedGraph> LoadBinary(const std::string& path) {
-  obs::ScopedSpan span("load_binary_graph");
   SIMRANK_FAULT_POINT("io.load_binary");
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) {

@@ -7,7 +7,7 @@
 // Aggregate metrics (metrics.h) answer "how is the service doing";
 // the flight recorder answers "what were the last N queries, exactly" —
 // the record a p999 investigation or a crash postmortem needs. Cost per
-// query is one uncontended shard mutex plus a 72-byte struct copy, which
+// query is one uncontended shard mutex plus a 120-byte struct copy, which
 // is why it can stay on in production (budget: ≤ 2% on BM_EngineQuery,
 // measured by the BM_EngineQueryEvents / BM_EngineQueryNoEvents pair).
 //
@@ -28,6 +28,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "obs/phase.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -69,9 +70,11 @@ struct QueryEvent {
   uint64_t start_ns = 0;       ///< steady-clock ns at engine admission
   uint64_t duration_ns = 0;    ///< engine time, excluding queue wait
   uint64_t queue_wait_ns = 0;  ///< time queued before a worker started it
-  uint64_t walks = 0;          ///< random walks spent (profile + estimate
-                               ///< + refine; 0 for cache hits)
+  uint64_t walks = 0;          ///< scoring walks drawn (QueryStats::walks;
+                               ///< 0 when nothing ran)
   uint64_t client_hash = 0;    ///< mixed hash of the client id (0 = none)
+  PhaseTimes phases;           ///< ns per query phase (QueryStats::phases;
+                               ///< all 0 when nothing ran)
   uint32_t vertex = 0;         ///< first query vertex
   uint32_t k = 0;              ///< effective k after per-request overrides
   uint32_t group_size = 1;     ///< number of query vertices
@@ -84,6 +87,9 @@ struct QueryEvent {
                                ///< query was admitted/degraded/shed
 };
 static_assert(std::is_trivially_copyable_v<QueryEvent>);
+// The default ring is resident from first use: each byte added here costs
+// EventLog::kDefaultCapacity bytes of RSS.
+static_assert(sizeof(QueryEvent) <= 120);
 
 class EventLog {
  public:

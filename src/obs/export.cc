@@ -178,48 +178,11 @@ void PrintMetrics(const MetricsSnapshot& snapshot, std::FILE* out) {
   }
 }
 
-namespace {
-
-void PrintSpanNode(const SpanNode& node, int depth, double parent_seconds,
-                   std::FILE* out) {
-  const double share =
-      parent_seconds > 0.0 ? 100.0 * node.seconds / parent_seconds : 100.0;
-  std::fprintf(out, "%*s%-*s %8s  x%-6llu %5.1f%%\n", depth * 2, "",
-               32 - depth * 2, node.name.c_str(),
-               FormatDuration(node.seconds).c_str(),
-               static_cast<unsigned long long>(node.count), share);
-  for (const auto& child : node.children) {
-    PrintSpanNode(*child, depth + 1, node.seconds, out);
-  }
-}
-
-}  // namespace
-
-void PrintSpanTree(const SpanNode& root, std::FILE* out) {
-  // The synthetic root carries no timing of its own; print its children as
-  // top-level spans.
-  for (const auto& child : root.children) {
-    PrintSpanNode(*child, 0, child->seconds, out);
-  }
-}
-
 // --- JSON ------------------------------------------------------------------
 
 namespace {
 
-void WriteSpanNode(JsonWriter& json, const SpanNode& node) {
-  json.BeginObject();
-  json.Key("name").String(node.name);
-  json.Key("count").Uint(node.count);
-  json.Key("seconds").Double(node.seconds);
-  json.Key("children").BeginArray();
-  for (const auto& child : node.children) WriteSpanNode(json, *child);
-  json.EndArray();
-  json.EndObject();
-}
-
-void WriteSnapshotFields(JsonWriter& json, const MetricsSnapshot& snapshot,
-                         const SpanNode* trace) {
+void WriteSnapshotFields(JsonWriter& json, const MetricsSnapshot& snapshot) {
   json.Key("counters").BeginObject();
   for (const auto& [name, value] : snapshot.counters) {
     json.Key(name).Uint(value);
@@ -243,28 +206,22 @@ void WriteSnapshotFields(JsonWriter& json, const MetricsSnapshot& snapshot,
     json.EndObject();
   }
   json.EndObject();
-  if (trace != nullptr) {
-    json.Key("trace");
-    WriteSpanNode(json, *trace);
-  }
 }
 
 }  // namespace
 
-std::string MetricsToJson(const MetricsSnapshot& snapshot,
-                          const SpanNode* trace) {
+std::string MetricsToJson(const MetricsSnapshot& snapshot) {
   JsonWriter json;
   json.BeginObject();
   json.Key("schema").String("simrank-obs-v1");
   json.Key("git_rev").String(BuildGitRevision());
-  WriteSnapshotFields(json, snapshot, trace);
+  WriteSnapshotFields(json, snapshot);
   json.EndObject();
   return json.TakeString();
 }
 
 std::string BenchReportToJson(const BenchReport& report,
-                              const MetricsSnapshot& snapshot,
-                              const SpanNode* trace) {
+                              const MetricsSnapshot& snapshot) {
   JsonWriter json;
   json.BeginObject();
   json.Key("schema").String("simrank-bench-v1");
@@ -289,7 +246,7 @@ std::string BenchReportToJson(const BenchReport& report,
   }
   json.EndArray();
   json.Key("metrics").BeginObject();
-  WriteSnapshotFields(json, snapshot, trace);
+  WriteSnapshotFields(json, snapshot);
   json.EndObject();
   json.EndObject();
   return json.TakeString();
@@ -371,6 +328,11 @@ void WriteQueryEvent(JsonWriter& json, const QueryEvent& event) {
   json.Key("degraded").Bool((event.flags & kEventDegraded) != 0);
   json.Key("shed").Bool((event.flags & kEventShed) != 0);
   json.Key("submitted").Bool((event.flags & kEventSubmitted) != 0);
+  json.Key("phases").BeginObject();
+  for (size_t i = 0; i < kNumQueryPhases; ++i) {
+    json.Key(kQueryPhaseNames[i]).Uint(event.phases.ns[i]);
+  }
+  json.EndObject();
   json.EndObject();
 }
 
@@ -431,7 +393,7 @@ EventsReport CollectDefaultEventsReport() {
 std::string EventsToJson(const EventsReport& report) {
   JsonWriter json;
   json.BeginObject();
-  json.Key("schema").String("simrank-events-v1");
+  json.Key("schema").String("simrank-events-v2");
   json.Key("git_rev").String(BuildGitRevision());
   json.Key("events").BeginArray();
   for (const QueryEvent& event : report.events) {
@@ -446,12 +408,6 @@ std::string EventsToJson(const EventsReport& report) {
     json.Key("vertices").BeginArray();
     for (const uint32_t vertex : record.vertices) json.Uint(vertex);
     json.EndArray();
-    json.Key("trace");
-    if (record.trace != nullptr) {
-      WriteSpanNode(json, *record.trace);
-    } else {
-      json.Null();
-    }
     json.EndObject();
   }
   json.EndArray();
@@ -484,14 +440,13 @@ Status WriteJsonFile(const std::string& path, std::string_view json) {
   return writer.Commit();
 }
 
-Status WriteJson(const std::string& path, const MetricsSnapshot& snapshot,
-                 const SpanNode* trace) {
-  return WriteJsonFile(path, MetricsToJson(snapshot, trace));
+Status WriteJson(const std::string& path, const MetricsSnapshot& snapshot) {
+  return WriteJsonFile(path, MetricsToJson(snapshot));
 }
 
 Status WriteJson(const std::string& path, const BenchReport& report,
-                 const MetricsSnapshot& snapshot, const SpanNode* trace) {
-  return WriteJsonFile(path, BenchReportToJson(report, snapshot, trace));
+                 const MetricsSnapshot& snapshot) {
+  return WriteJsonFile(path, BenchReportToJson(report, snapshot));
 }
 
 }  // namespace simrank::obs

@@ -3,7 +3,7 @@
 
 // Exporters for the obs subsystem: human-readable tables (util::Table
 // layout) and stable-schema JSON. The JSON schemas are versioned
-// ("simrank-obs-v1" / "simrank-bench-v1" / "simrank-events-v1") and
+// ("simrank-obs-v1" / "simrank-bench-v1" / "simrank-events-v2") and
 // documented in docs/OBSERVABILITY.md; CI checks them (see
 // .github/workflows/ci.yml), so schema changes must bump the version
 // string.
@@ -19,7 +19,6 @@
 #include "obs/metrics.h"
 #include "obs/rolling.h"
 #include "obs/slow_log.h"
-#include "obs/span.h"
 #include "util/status.h"
 
 namespace simrank::obs {
@@ -65,16 +64,10 @@ const char* BuildGitRevision();
 /// Prints counters/gauges and histogram percentiles as aligned tables.
 void PrintMetrics(const MetricsSnapshot& snapshot, std::FILE* out = stdout);
 
-/// Prints an indented span tree: name, enter count, inclusive time, and
-/// the share of the parent's time.
-void PrintSpanTree(const SpanNode& root, std::FILE* out = stdout);
-
 // --- JSON ------------------------------------------------------------------
 
-/// Serializes a snapshot (+ optional span tree) as a "simrank-obs-v1"
-/// document.
-std::string MetricsToJson(const MetricsSnapshot& snapshot,
-                          const SpanNode* trace = nullptr);
+/// Serializes a snapshot as a "simrank-obs-v1" document.
+std::string MetricsToJson(const MetricsSnapshot& snapshot);
 
 /// One timed case of a bench run (a reproduced table row, one
 /// google-benchmark case, ...). `values` carries additional per-case
@@ -95,20 +88,19 @@ struct BenchReport {
 };
 
 std::string BenchReportToJson(const BenchReport& report,
-                              const MetricsSnapshot& snapshot,
-                              const SpanNode* trace = nullptr);
+                              const MetricsSnapshot& snapshot);
 
 /// Crash context attached to an events document written from the
 /// SIMRANK_CHECK abort hook (absent from ordinary exports).
 struct PostmortemInfo {
   std::string reason;     ///< "CHECK failed at file:line: expr"
-  std::string span_path;  ///< open span path of the failing thread ("")
+  std::string span_path;  ///< phase of the failing thread ("" if none)
 };
 
-/// Everything a "simrank-events-v1" document serializes: the flight
+/// Everything a "simrank-events-v2" document serializes: the flight
 /// recorder contents, the slow-query reservoir, the rolling-window
 /// snapshot with its evaluated SLOs, and (crash dumps only) the failure
-/// context. Move-only (slow records own span-tree clones).
+/// context.
 struct EventsReport {
   std::vector<QueryEvent> events;
   std::vector<SlowQueryRecord> slow;
@@ -121,7 +113,7 @@ struct EventsReport {
 /// RollingWindow) into one report, as of now.
 EventsReport CollectDefaultEventsReport();
 
-/// Serializes a report as a "simrank-events-v1" document.
+/// Serializes a report as a "simrank-events-v2" document.
 std::string EventsToJson(const EventsReport& report);
 
 /// Convenience: events document straight to a file.
@@ -131,13 +123,11 @@ Status WriteEventsJson(const std::string& path, const EventsReport& report);
 Status WriteJsonFile(const std::string& path, std::string_view json);
 
 /// Convenience: snapshot document straight to a file.
-Status WriteJson(const std::string& path, const MetricsSnapshot& snapshot,
-                 const SpanNode* trace = nullptr);
+Status WriteJson(const std::string& path, const MetricsSnapshot& snapshot);
 
 /// Convenience: bench document straight to a file.
 Status WriteJson(const std::string& path, const BenchReport& report,
-                 const MetricsSnapshot& snapshot,
-                 const SpanNode* trace = nullptr);
+                 const MetricsSnapshot& snapshot);
 
 }  // namespace simrank::obs
 

@@ -5,11 +5,12 @@
 // events"; docs/ROBUSTNESS.md).
 //
 // When armed with a path, the first SIMRANK_CHECK failure in the process
-// flushes a "simrank-events-v1" document — the flight recorder contents,
+// flushes a "simrank-events-v2" document — the flight recorder contents,
 // the slow-query reservoir, the rolling-window snapshot, and the failure
-// reason + active span path — to that path through AtomicFileWriter,
-// then aborts as usual. Every chaos-job abort thereby leaves a debuggable
-// artifact: which queries ran last, and where the failing thread was.
+// reason + the failing thread's query phase (obs/phase.h) — to that path
+// through AtomicFileWriter, then aborts as usual. Every chaos-job abort
+// thereby leaves a debuggable artifact: which queries ran last, and
+// where the failing thread was.
 //
 // The hook (util/check.h SetCheckAbortHook) runs at most once per process
 // and is registered lazily on first arm, so binaries that never arm a

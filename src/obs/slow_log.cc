@@ -61,10 +61,7 @@ std::vector<SlowQueryRecord> SlowQueryLog::Snapshot() const {
   std::vector<SlowQueryRecord> copies;
   {
     MutexLock lock(mutex_);
-    copies.reserve(records_.size());
-    for (const SlowQueryRecord& record : records_) {
-      copies.push_back(record.Clone());
-    }
+    copies = records_;
   }
   std::sort(copies.begin(), copies.end(),
             [](const SlowQueryRecord& a, const SlowQueryRecord& b) {

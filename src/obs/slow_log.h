@@ -5,43 +5,31 @@
 //
 // Histograms say *that* a latency tail exists; this log keeps exemplars
 // of *which* queries formed it: every query slower than a configurable
-// threshold is offered here together with its full span tree, and a
-// bounded reservoir retains the top-N slowest. Arming it costs one span
-// tree per slow query (SpanNode::Clone), so the threshold — not the
-// traffic rate — bounds the overhead; disarmed (threshold 0) it is one
-// relaxed atomic load per query.
+// threshold is offered here with its flight-recorder event (phase
+// timings included) and its vertex set, and a bounded reservoir retains
+// the top-N slowest. The threshold, not the traffic rate, bounds the
+// cost of an armed log; disarmed (threshold 0) it is one relaxed atomic
+// load per query.
 //
 // Thread-safety: Offer/Snapshot/Configure may race freely (one Mutex on
 // the slow path only; the armed check is lock-free).
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "obs/event_log.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
 namespace simrank::obs {
 
-/// One retained slow query: its flight-recorder event, the full query
-/// vertex set, and a deep copy of the span tree recorded during its
-/// execution (null when the query ran without a tracer).
+/// One retained slow query: its flight-recorder event, which carries the
+/// per-phase timings, and the full query vertex set.
 struct SlowQueryRecord {
   QueryEvent event;
   std::vector<uint32_t> vertices;
-  std::unique_ptr<SpanNode> trace;
-
-  SlowQueryRecord Clone() const {
-    SlowQueryRecord copy;
-    copy.event = event;
-    copy.vertices = vertices;
-    if (trace != nullptr) copy.trace = trace->Clone();
-    return copy;
-  }
 };
 
 class SlowQueryLog {
@@ -62,9 +50,9 @@ class SlowQueryLog {
   void Configure(uint64_t threshold_ns, size_t capacity)
       SIMRANK_EXCLUDES(mutex_);
 
-  /// True when queries should capture span trees for this log (obs and the
-  /// event layer enabled, threshold non-zero). Lock-free; engines call
-  /// this per query to decide whether to install a tracer.
+  /// True when the log retains records (obs and the event layer enabled,
+  /// threshold non-zero). Lock-free; engines call this per query before
+  /// building a record.
   bool armed() const {
     return threshold_ns_.load(std::memory_order_relaxed) != 0 &&
            IsEnabled() && EventsEnabled();
@@ -75,10 +63,10 @@ class SlowQueryLog {
 
   /// Retains the record if it is slower than the threshold and among the
   /// top-N slowest seen (evicting the fastest retained one when full).
-  /// Takes ownership of `record.trace`. Returns true when retained.
+  /// Returns true when retained.
   bool Offer(SlowQueryRecord record) SIMRANK_EXCLUDES(mutex_);
 
-  /// The retained records, slowest first (deep copies).
+  /// The retained records, slowest first (copies).
   std::vector<SlowQueryRecord> Snapshot() const SIMRANK_EXCLUDES(mutex_);
 
   size_t size() const SIMRANK_EXCLUDES(mutex_);

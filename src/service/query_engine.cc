@@ -10,8 +10,8 @@
 #include "graph/stats.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
+#include "obs/phase.h"
 #include "obs/slow_log.h"
-#include "obs/span.h"
 #include "service/result_cache.h"
 #include "simrank/backend_mc.h"
 #include "util/fault_injection.h"
@@ -90,21 +90,6 @@ bool DeadlinePassed(const std::optional<EngineClock::time_point>& deadline) {
 double SteadySeconds() {
   return std::chrono::duration<double>(EngineClock::now().time_since_epoch())
       .count();
-}
-
-/// Walks the kernel spent on a response, reconstructed from its stats
-/// (the kernel reports pass counts, not walk totals): profile walks per
-/// group member plus the estimate/refine walks per candidate. An
-/// estimate — degraded queries refine with the rough sample count, and a
-/// deadline may cut a member short — but proportional to real cost,
-/// which is what tail analysis needs.
-uint64_t EstimateWalks(const QueryStats& stats, const SearchOptions& search,
-                       bool degraded, uint64_t members) {
-  const uint64_t refine_walks =
-      degraded ? search.estimate_walks : search.refine_walks;
-  return members * search.profile_walks +
-         stats.rough_estimates * search.estimate_walks +
-         stats.refined * refine_walks;
 }
 
 }  // namespace
@@ -463,16 +448,6 @@ Result<QueryResponse> QueryEngine::Execute(const QueryRequest& request,
     return ExecuteStages(request, queue_seconds);
   }
 
-  obs::SlowQueryLog& slow_log = obs::SlowQueryLog::Default();
-  // A per-query tracer (for the slow log's span trees) only when the slow
-  // log is armed — span capture is the expensive part of tracing — and
-  // only when the thread has none: a caller tracing its own scope keeps
-  // its tracer and the slow record simply carries no tree.
-  obs::Tracer tracer;
-  std::optional<obs::TraceScope> trace_scope;
-  const bool own_tracer = slow_log.armed() && obs::ActiveTracer() == nullptr;
-  if (own_tracer) trace_scope.emplace(tracer);
-
   const uint64_t start_ns = obs::EventLog::NowNs();
   Result<QueryResponse> result = ExecuteStages(request, queue_seconds);
   const uint64_t duration_ns = obs::EventLog::NowNs() - start_ns;
@@ -493,13 +468,14 @@ Result<QueryResponse> QueryEngine::Execute(const QueryRequest& request,
     const QueryResponse& response = result.value();
     event.status = static_cast<uint8_t>(response.status.code());
     if (response.from_cache) {
-      event.flags |= obs::kEventCacheHit;  // walks stay 0: nothing ran
-    } else if (backend_kind == BackendKind::kMonteCarlo) {
-      // Walk totals only exist for the sampling backend; the
-      // deterministic backends report 0.
-      event.walks = EstimateWalks(response.stats, options_.search,
-                                  response.degraded,
-                                  request.vertices.size());
+      // Walks and phases stay 0: nothing ran (the cached stats are the
+      // original query's).
+      event.flags |= obs::kEventCacheHit;
+    } else {
+      // What ran: zero when the deadline passed before the backend
+      // started, the members that ran for a group.
+      event.walks = response.stats.walks;
+      event.phases = response.stats.phases;
     }
     // Degraded means "ran, rough quality"; shed means "refused, never
     // ran" and is recorded on the Shed() path, so the flags no longer
@@ -516,20 +492,17 @@ Result<QueryResponse> QueryEngine::Execute(const QueryRequest& request,
   if (result.ok()) result.value().query_id = query_id;
   obs::RollingWindow::Default().Record(obs::RollingWindow::NowSecond(),
                                        duration_ns, event.flags, event.status);
-  if (own_tracer && slow_log.armed() &&
-      duration_ns >= slow_log.threshold_ns()) {
-    obs::SlowQueryRecord record;
-    record.event = event;
-    record.vertices = request.vertices;
-    record.trace = tracer.root().Clone();
-    slow_log.Offer(std::move(record));
+  obs::SlowQueryLog& slow_log = obs::SlowQueryLog::Default();
+  if (slow_log.armed() && duration_ns >= slow_log.threshold_ns()) {
+    slow_log.Offer(obs::SlowQueryRecord{event, request.vertices});
   }
   return result;
 }
 
 Result<QueryResponse> QueryEngine::ExecuteStages(const QueryRequest& request,
                                                  double queue_seconds) {
-  obs::ScopedSpan span("engine_query");
+  // Names the engine stage for CHECK failures outside the backend's phases.
+  obs::ScopedPhaseName phase("engine_query");
   // Chaos hook for the serving path (docs/ROBUSTNESS.md): `error` makes
   // this request fail, `check` simulates an invariant violation inside
   // the engine — the postmortem-dump scenario in tools/chaos_test.cmake.
@@ -651,7 +624,6 @@ void QueryEngine::RunGroup(const QueryRequest& request,
   // Score-sum voting over the members' rankings, members excluded, with a
   // deadline check between members: on expiry the loop stops and the
   // ranking/stats of the members already run are the partial answer.
-  obs::ScopedSpan group_span("query_group");
   std::vector<ScoredVertex> entries;
   size_t completed = 0;
   for (Vertex member : request.vertices) {

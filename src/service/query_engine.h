@@ -156,8 +156,9 @@ struct QueryResponse {
   Status status;
   /// Best-first ranking (at most k entries, scores > 0 and >= threshold).
   std::vector<ScoredVertex> top;
-  /// Per-query instrumentation; for cache hits, the stats of the query
-  /// that originally computed the entry.
+  /// Per-query instrumentation, phase timings included; for a group, the
+  /// sum over the members that ran; for cache hits, the stats of the
+  /// query that originally computed the entry.
   QueryStats stats;
   /// True when the ranking was served from the result cache.
   bool from_cache = false;
@@ -209,10 +210,9 @@ struct EngineOptions {
   /// behavior bit-identical to earlier releases.
   AdmissionOptions admission;
 
-  /// Slow-query log: queries slower than this capture their full span
-  /// tree and are offered to obs::SlowQueryLog::Default(), which retains
-  /// the `slow_log_capacity` slowest. 0 disarms (the default — arming it
-  /// makes every query run under a tracer).
+  /// Slow-query log: queries slower than this are offered, with their
+  /// event and its phase timings, to obs::SlowQueryLog::Default(), which
+  /// retains the `slow_log_capacity` slowest. 0 disarms (the default).
   double slow_log_threshold_seconds = 0.0;
   size_t slow_log_capacity = 16;
 

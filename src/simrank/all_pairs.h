@@ -105,6 +105,8 @@ struct AllPairsFileReport {
   /// Durable chunks making up the final file (resumed + new).
   uint64_t chunks = 0;
   /// Stats accumulated over the whole shard, including resumed chunks.
+  /// The checkpoint manifest persists the counters and `seconds` only:
+  /// after a resume, `walks` and `phases` sum this process's queries.
   QueryStats stats;
   /// Wall time of this process's run.
   double seconds = 0.0;

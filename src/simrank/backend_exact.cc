@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/span.h"
+#include "obs/phase.h"
 #include "simrank/diagonal.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -54,19 +54,21 @@ void ExactBackend::Build(ThreadPool* pool) {
 
 QueryResult ExactBackend::Query(Vertex query,
                                 const QueryOverrides& overrides) const {
-  obs::ScopedSpan span("exact_query");
   SIMRANK_CHECK(linear_ != nullptr);
   SIMRANK_CHECK_LT(query, graph_.NumVertices());
   WallTimer timer;
   QueryResult result;
+  // The oracle times its forward and backward passes into the phases.
   result.top = linear_->TopK(query, overrides.k.value_or(options_.k),
-                             overrides.threshold.value_or(options_.threshold));
+                             overrides.threshold.value_or(options_.threshold),
+                             &result.stats.phases);
   result.stats.candidates_enumerated = result.top.size();
   result.stats.seconds = timer.ElapsedSeconds();
   ExactMetrics& metrics = ExactMetrics::Get();
   metrics.queries.Add(1);
   metrics.latency_ns.Record(
       static_cast<uint64_t>(result.stats.seconds * 1e9));
+  obs::RecordPhaseHistograms(result.stats.phases);
   return result;
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "simrank/linear.h"
 #include "simrank/monte_carlo.h"
 #include "util/counter.h"
 
@@ -121,27 +122,17 @@ GammaTable GammaTable::BuildExact(const DirectedGraph& graph,
   GammaTable table(diagonal, params.num_steps, params.decay);
   const Vertex n = graph.NumVertices();
   ParallelFor(pool, 0, n, [&](size_t u) {
-    std::vector<double> current(n, 0.0), next(n, 0.0);
-    std::vector<Vertex> support, next_support;
-    current[u] = 1.0;
-    support.push_back(static_cast<Vertex>(u));
+    SparseDistribution current(n), next(n);
+    current.SetPoint(static_cast<Vertex>(u));
     uint16_t* row = table.codes_.data() + table.Row(static_cast<Vertex>(u));
-    for (uint32_t t = 1; t < params.num_steps && !support.empty(); ++t) {
-      for (Vertex w : next_support) next[w] = 0.0;
-      next_support.clear();
-      for (Vertex v : support) {
-        const auto in_v = graph.InNeighbors(v);
-        if (in_v.empty()) continue;
-        const double share = current[v] / static_cast<double>(in_v.size());
-        for (Vertex w : in_v) {
-          if (next[w] == 0.0) next_support.push_back(w);
-          next[w] += share;
-        }
-      }
-      current.swap(next);
-      support.swap(next_support);
+    for (uint32_t t = 1; t < params.num_steps && !current.support.empty();
+         ++t) {
+      PropagateStep(graph, current, next);
+      std::swap(current, next);
       double mu = 0.0;
-      for (Vertex w : support) mu += diagonal[w] * current[w] * current[w];
+      for (Vertex w : current.support) {
+        mu += diagonal[w] * current.value[w] * current.value[w];
+      }
       row[t - 1] = Encode(std::sqrt(mu), table.step_);
     }
   });
@@ -235,31 +226,18 @@ std::vector<double> ComputeL1BetaExact(const DirectedGraph& graph,
   const Vertex n = graph.NumVertices();
   std::vector<std::vector<double>> alpha(rows,
                                          std::vector<double>(steps, 0.0));
-  std::vector<double> current(n, 0.0), next(n, 0.0);
-  std::vector<Vertex> support, next_support;
-  current[query] = 1.0;
-  support.push_back(query);
+  SparseDistribution current(n), next(n);
+  current.SetPoint(query);
   for (uint32_t t = 0; t < steps; ++t) {
-    for (Vertex w : support) {
+    for (Vertex w : current.support) {
       const uint32_t d = distances.DistanceLowerBound(w);
       if (d >= rows) continue;
-      alpha[d][t] = std::max(alpha[d][t], diagonal[w] * current[w]);
+      alpha[d][t] = std::max(alpha[d][t], diagonal[w] * current.value[w]);
     }
     if (t + 1 == steps) break;
-    for (Vertex w : next_support) next[w] = 0.0;
-    next_support.clear();
-    for (Vertex v : support) {
-      const auto in_v = graph.InNeighbors(v);
-      if (in_v.empty()) continue;
-      const double share = current[v] / static_cast<double>(in_v.size());
-      for (Vertex w : in_v) {
-        if (next[w] == 0.0) next_support.push_back(w);
-        next[w] += share;
-      }
-    }
-    current.swap(next);
-    support.swap(next_support);
-    if (support.empty()) break;
+    PropagateStep(graph, current, next);
+    std::swap(current, next);
+    if (current.support.empty()) break;
   }
   return AssembleBeta(alpha, params, max_distance);
 }

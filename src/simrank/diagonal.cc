@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
+#include "simrank/linear.h"
 #include "simrank/monte_carlo.h"
 #include "util/counter.h"
 #include "util/rng.h"
@@ -14,42 +16,23 @@ namespace {
 // Exact r_k = sum_t c^t sum_w D_ww (P^t e_k)_w^2 by sparse propagation.
 double DiagonalScoreExact(const DirectedGraph& graph,
                           const SimRankParams& params,
-                          const std::vector<double>& diagonal, Vertex k,
-                          std::vector<double>& scratch) {
-  std::vector<Vertex> support{k}, next_support;
-  std::vector<double> next(scratch.size(), 0.0);
-  scratch[k] = 1.0;
+                          const std::vector<double>& diagonal, Vertex k) {
+  const size_t n = graph.NumVertices();
+  SparseDistribution current(n), next(n);
+  current.SetPoint(k);
   double score = 0.0;
   double decay_pow = 1.0;
   for (uint32_t t = 0; t < params.num_steps; ++t) {
     double term = 0.0;
-    for (Vertex w : support) {
-      term += diagonal[w] * scratch[w] * scratch[w];
+    for (Vertex w : current.support) {
+      term += diagonal[w] * current.value[w] * current.value[w];
     }
     score += decay_pow * term;
     decay_pow *= params.decay;
     if (t + 1 == params.num_steps) break;
-    for (Vertex w : next_support) next[w] = 0.0;
-    next_support.clear();
-    for (Vertex v : support) {
-      const auto in_v = graph.InNeighbors(v);
-      if (in_v.empty()) continue;
-      const double share = scratch[v] / static_cast<double>(in_v.size());
-      for (Vertex w : in_v) {
-        if (next[w] == 0.0) next_support.push_back(w);
-        next[w] += share;
-      }
-    }
-    scratch.swap(next);
-    support.swap(next_support);
-    if (support.empty()) break;
-  }
-  for (Vertex w : support) scratch[w] = 0.0;
-  // `scratch` and `next` were swapped an unknown number of times; zero both
-  // supports so the caller's scratch is clean.
-  for (Vertex w : next_support) {
-    scratch[w] = 0.0;
-    next[w] = 0.0;
+    PropagateStep(graph, current, next);
+    std::swap(current, next);
+    if (current.support.empty()) break;
   }
   return score;
 }
@@ -105,9 +88,8 @@ std::vector<double> EstimateDiagonalFixedPoint(
                                         static_cast<Vertex>(k),
                                         options.monte_carlo_walks, rng);
       } else {
-        std::vector<double> scratch(n, 0.0);
         score = DiagonalScoreExact(graph, params, diagonal,
-                                   static_cast<Vertex>(k), scratch);
+                                   static_cast<Vertex>(k));
       }
       residuals[k] = 1.0 - score;
     });

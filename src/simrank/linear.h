@@ -4,10 +4,41 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "obs/phase.h"
 #include "simrank/params.h"
 #include "util/top_k.h"
 
 namespace simrank {
+
+/// A distribution over the vertices: values in a dense array, with the
+/// nonzero positions listed separately so clearing is O(support).
+struct SparseDistribution {
+  std::vector<double> value;    // dense, size n
+  std::vector<Vertex> support;  // positions with value != 0
+
+  explicit SparseDistribution(size_t n) : value(n, 0.0) {}
+
+  /// The point mass e_v (the distribution must be clear).
+  void SetPoint(Vertex v) {
+    value[v] = 1.0;
+    support.push_back(v);
+  }
+
+  void Clear() {
+    for (Vertex v : support) value[v] = 0.0;
+    support.clear();
+  }
+};
+
+/// next = P * current: one walk step backward along in-links, by sparse
+/// push over current's support (walks die at dangling vertices). The
+/// support of `next` lists vertices in first-reached order, and each value
+/// sums its shares in that visiting order, so every caller (the exact
+/// oracle, the exact gamma table and L1 bound, the exact diagonal) gets
+/// the same floating-point result for the same P^t e_u.
+void PropagateStep(const DirectedGraph& graph,
+                   const SparseDistribution& current,
+                   SparseDistribution& next);
 
 /// Deterministic evaluation of the paper's linear recursive formulation
 /// (§3): SimRank satisfies S = c P^T S P + D with a diagonal correction
@@ -41,32 +72,20 @@ class LinearSimRank {
   double SinglePair(Vertex u, Vertex v) const;
 
   /// s^(T)(u, v) for every v, via the pulled-back series
-  /// sum_t c^t (P^T)^t (D P^t e_u). Exact.
-  std::vector<double> SingleSource(Vertex u) const;
+  /// sum_t c^t (P^T)^t (D P^t e_u). Exact. When `phases` is given, the
+  /// forward and backward passes add their time to its exact_forward and
+  /// exact_backward entries.
+  std::vector<double> SingleSource(Vertex u,
+                                   obs::PhaseTimes* phases = nullptr) const;
 
   /// Exact top-k ranking of `u` (u excluded, scores below `threshold`
   /// dropped): the deterministic ground-truth oracle the randomized
-  /// engine is validated against in tests and benches.
-  std::vector<ScoredVertex> TopK(Vertex u, uint32_t k,
-                                 double threshold = 0.0) const;
+  /// engine is validated against in tests and benches. `phases` as in
+  /// SingleSource.
+  std::vector<ScoredVertex> TopK(Vertex u, uint32_t k, double threshold = 0.0,
+                                 obs::PhaseTimes* phases = nullptr) const;
 
  private:
-  // Sparse distribution: values live in a dense scratch array, with the
-  // nonzero positions listed separately so clearing is O(support).
-  struct Distribution {
-    std::vector<double> value;    // dense, size n
-    std::vector<Vertex> support;  // positions with value != 0
-
-    explicit Distribution(size_t n) : value(n, 0.0) {}
-    void Clear() {
-      for (Vertex v : support) value[v] = 0.0;
-      support.clear();
-    }
-  };
-
-  // next = P * current (one walk step backward along in-links), sparse push.
-  void Propagate(const Distribution& current, Distribution& next) const;
-
   const DirectedGraph& graph_;
   SimRankParams params_;
   std::vector<double> diagonal_;

@@ -39,7 +39,6 @@
 #include "simrank/linear.h"          // IWYU pragma: export
 #include "simrank/monte_carlo.h"     // IWYU pragma: export
 #include "simrank/naive.h"           // IWYU pragma: export
-#include "simrank/p_rank.h"          // IWYU pragma: export
 #include "simrank/params.h"          // IWYU pragma: export
 #include "simrank/partial_sums.h"    // IWYU pragma: export
 #include "simrank/searcher_backend.h"  // IWYU pragma: export

@@ -1,12 +1,13 @@
 #include "simrank/top_k_searcher.h"
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <utility>
 
 #include "obs/metrics.h"
-#include "obs/span.h"
+#include "obs/phase.h"
 #include "simrank/linear.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -63,8 +64,7 @@ QueryMetrics& GetQueryMetrics() {
 // Flushes the per-query view into the process-wide registry (QueryStats
 // stays the caller-facing view of the same numbers), plus the BFS's edge
 // visits and whether its edge budget cut it short.
-void FlushQueryMetrics(const QueryStats& stats, uint32_t refine_walks,
-                       const SearchOptions& options, uint64_t bfs_edges,
+void FlushQueryMetrics(const QueryStats& stats, uint64_t bfs_edges,
                        bool bfs_truncated) {
   QueryMetrics& metrics = GetQueryMetrics();
   metrics.queries.Add(1);
@@ -78,9 +78,8 @@ void FlushQueryMetrics(const QueryStats& stats, uint32_t refine_walks,
   metrics.skipped_after_estimate.Add(stats.skipped_after_estimate);
   metrics.refined.Add(stats.refined);
   metrics.latency_ns.RecordSeconds(stats.seconds);
-  metrics.samples.Record(options.profile_walks +
-                         stats.rough_estimates * options.estimate_walks +
-                         stats.refined * refine_walks);
+  metrics.samples.Record(stats.walks);
+  obs::RecordPhaseHistograms(stats.phases);
 }
 
 // Arena bytes one walk set of `walks` walks plus its counter table can
@@ -196,11 +195,9 @@ TopKSearcher::TopKSearcher(const DirectedGraph& graph, SearchOptions options,
 
 void TopKSearcher::BuildIndex(ThreadPool* pool) {
   if (index_built_) return;
-  obs::ScopedSpan build_span("build_index");
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
   WallTimer timer;
   if (diagonal_pending_) {
-    obs::ScopedSpan span("estimate_diagonal");
     WallTimer diagonal_timer;
     estimator_ = std::make_unique<MonteCarloSimRank>(
         graph_, options_.simrank,
@@ -212,7 +209,6 @@ void TopKSearcher::BuildIndex(ThreadPool* pool) {
         .Set(static_cast<int64_t>(diagonal_seconds_ * 1e6));
   }
   if (options_.use_l2_bound) {
-    obs::ScopedSpan span("gamma_table");
     WallTimer gamma_timer;
     gamma_ = std::make_unique<GammaTable>(GammaTable::BuildMonteCarlo(
         graph_, options_.simrank, diagonal(), options_.gamma_walks,
@@ -221,7 +217,6 @@ void TopKSearcher::BuildIndex(ThreadPool* pool) {
         .Set(static_cast<int64_t>(gamma_timer.ElapsedSeconds() * 1e6));
   }
   if (options_.use_index) {
-    obs::ScopedSpan span("candidate_index");
     WallTimer index_timer;
     index_ = std::make_unique<CandidateIndex>(
         graph_, options_.simrank, options_.index_params,
@@ -326,10 +321,11 @@ QueryResult TopKSearcher::Query(Vertex query, QueryWorkspace& workspace,
   SIMRANK_CHECK(!options_.use_index || index_ != nullptr);
   // estimate_diagonal requires the BuildIndex preprocess to have run.
   SIMRANK_CHECK(!diagonal_pending_);
-  obs::ScopedSpan query_span("query");
-  WallTimer timer;
   QueryResult result;
   QueryStats& stats = result.stats;
+  // One clock read per phase boundary: BFS, L1 bound, profile, candidate
+  // loop. The clock also names the running phase for CHECK failures.
+  obs::PhaseClock clock(stats.phases, obs::QueryPhase::kBfs);
   const SimRankParams& params = options_.simrank;
   // Per-query runtime knobs (the preprocess-bound knobs are not
   // overridable; see QueryOverrides).
@@ -353,32 +349,27 @@ QueryResult TopKSearcher::Query(Vertex query, QueryWorkspace& workspace,
   // full BFS: its reached list is the enumeration.
   const uint32_t horizon =
       std::max(options_.max_distance, params.num_steps - 1);
-  {
-    obs::ScopedSpan span("bfs");
-    const uint64_t edge_budget =
-        options_.use_index
-            ? uint64_t{options_.l1_walks} * params.num_steps
-            : kNoEdgeBudget;
-    workspace.bfs_.Run(query, EdgeDirection::kUndirected, horizon,
-                       edge_budget);
-  }
+  const uint64_t edge_budget =
+      options_.use_index ? uint64_t{options_.l1_walks} * params.num_steps
+                         : kNoEdgeBudget;
+  workspace.bfs_.Run(query, EdgeDirection::kUndirected, horizon, edge_budget);
 
   // L1 bound table beta(u, d) (Algorithm 2) — computed per query.
   std::vector<double> beta;
   if (options_.use_l1_bound) {
-    obs::ScopedSpan span("l1_bound");
+    clock.Enter(obs::QueryPhase::kL1);
     beta = ComputeL1Beta(graph_, params, diagonal(), query, options_.l1_walks,
                          workspace.bfs_, options_.max_distance, rng,
                          &workspace.arena_);
   }
 
   // The query vertex's walk profile, shared by every candidate estimate.
-  const WalkProfile profile = [&] {
-    obs::ScopedSpan span("profile");
-    return estimator_->BuildProfile(query, options_.profile_walks, rng,
-                                    &workspace.arena_);
-  }();
+  clock.Enter(obs::QueryPhase::kProfile);
+  const WalkProfile profile = estimator_->BuildProfile(
+      query, options_.profile_walks, rng, &workspace.arena_);
+  stats.walks = options_.profile_walks;
 
+  clock.Enter(obs::QueryPhase::kCandidates);
   TopKCollector collector(k);
 
   auto cutoff = [&]() { return std::max(threshold, collector.Threshold()); };
@@ -386,34 +377,30 @@ QueryResult TopKSearcher::Query(Vertex query, QueryWorkspace& workspace,
   auto consider = [&](Vertex v) {
     if (v == query) return;
     ++stats.candidates_enumerated;
-    {
-      obs::ScopedSpan bounds_span("bound_pruning");
-      // Exact where the BFS reached v, its frontier distance elsewhere.
-      const uint32_t distance = workspace.bfs_.DistanceLowerBound(v);
-      if (distance == kInfiniteDistance ||
-          distance > options_.max_distance) {
-        ++stats.pruned_by_distance;
-        return;
-      }
-      // Cheapest bound first; each bound only tightens the previous one.
-      if (options_.use_distance_bound &&
-          DistanceBound(params.decay, distance) < cutoff()) {
-        ++stats.pruned_by_distance;
-        return;
-      }
-      if (options_.use_l1_bound && beta[distance] < cutoff()) {
-        ++stats.pruned_by_l1;
-        return;
-      }
-      if (options_.use_l2_bound &&
-          gamma_->BoundAtDistance(query, v, distance) < cutoff()) {
-        ++stats.pruned_by_l2;
-        return;
-      }
+    // Exact where the BFS reached v, its frontier distance elsewhere.
+    const uint32_t distance = workspace.bfs_.DistanceLowerBound(v);
+    if (distance == kInfiniteDistance || distance > options_.max_distance) {
+      ++stats.pruned_by_distance;
+      return;
+    }
+    // Cheapest bound first; each bound only tightens the previous one.
+    if (options_.use_distance_bound &&
+        DistanceBound(params.decay, distance) < cutoff()) {
+      ++stats.pruned_by_distance;
+      return;
+    }
+    if (options_.use_l1_bound && beta[distance] < cutoff()) {
+      ++stats.pruned_by_l1;
+      return;
+    }
+    if (options_.use_l2_bound &&
+        gamma_->BoundAtDistance(query, v, distance) < cutoff()) {
+      ++stats.pruned_by_l2;
+      return;
     }
     if (options_.adaptive_sampling) {
-      obs::ScopedSpan estimate_span("rough_estimate");
       ++stats.rough_estimates;
+      stats.walks += options_.estimate_walks;
       const double rough = estimator_->EstimateAgainstProfile(
           profile, v, options_.estimate_walks, rng, &workspace.arena_);
       if (rough < options_.adaptive_margin * cutoff()) {
@@ -421,31 +408,27 @@ QueryResult TopKSearcher::Query(Vertex query, QueryWorkspace& workspace,
         return;
       }
     }
-    obs::ScopedSpan refine_span("refine");
     ++stats.refined;
+    stats.walks += refine_walks;
     const double score = estimator_->EstimateAgainstProfile(
         profile, v, refine_walks, rng, &workspace.arena_);
     // A zero estimate means no walk met: not an answer, even at theta = 0.
     if (score > 0.0 && score >= threshold) collector.Push(v, score);
   };
 
-  {
-    obs::ScopedSpan span("candidate_enumeration");
-    if (options_.use_index) {
-      index_->ForEachCandidate(query, workspace.marks_, workspace.epoch_,
-                               consider);
-    } else {
-      // Ascending-distance scan (§2.2): BFS discovery order is sorted by
-      // distance, so the bound pruning sees nearer candidates first.
-      for (Vertex v : workspace.bfs_.Reached()) consider(v);
-    }
+  if (options_.use_index) {
+    index_->ForEachCandidate(query, workspace.marks_, workspace.epoch_,
+                             consider);
+  } else {
+    // Ascending-distance scan (§2.2): BFS discovery order is sorted by
+    // distance, so the bound pruning sees nearer candidates first.
+    for (Vertex v : workspace.bfs_.Reached()) consider(v);
   }
 
   result.top = collector.TakeSorted();
-  stats.seconds = timer.ElapsedSeconds();
+  stats.seconds = std::chrono::duration<double>(clock.Stop()).count();
   // A horizon cut leaves the frontier at horizon + 1; a budget cut, closer.
-  FlushQueryMetrics(stats, refine_walks, options_,
-                    workspace.bfs_.edges_visited(),
+  FlushQueryMetrics(stats, workspace.bfs_.edges_visited(),
                     workspace.bfs_.frontier_distance() <= horizon);
   return result;
 }

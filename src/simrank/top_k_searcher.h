@@ -8,6 +8,7 @@
 
 #include "graph/graph.h"
 #include "graph/traversal.h"
+#include "obs/phase.h"
 #include "simrank/bounds.h"
 #include "simrank/diagonal.h"
 #include "simrank/index.h"
@@ -112,8 +113,9 @@ struct QueryOverrides {
 /// Per-query instrumentation, reported alongside the ranking. This is a
 /// caller-local *view*: the same numbers also feed the process-wide
 /// "query.*" metrics of obs::MetricsRegistry::Default() (counters plus
-/// the query.latency_ns / query.samples histograms), which is where
-/// cross-query aggregates, percentiles and JSON export live.
+/// the query.latency_ns / query.samples / query.phase.<name>_ns
+/// histograms), which is where cross-query aggregates, percentiles and
+/// JSON export live.
 struct QueryStats {
   uint64_t candidates_enumerated = 0;
   uint64_t pruned_by_distance = 0;  ///< horizon or c^(d/2) bound
@@ -122,11 +124,18 @@ struct QueryStats {
   uint64_t rough_estimates = 0;
   uint64_t skipped_after_estimate = 0;
   uint64_t refined = 0;
+  /// Scoring walks drawn: the profile's plus those of every rough and
+  /// refine estimate (the L1 pass's walks are not counted). 0 for the
+  /// exact backend.
+  uint64_t walks = 0;
   double seconds = 0.0;
+  /// Time per query phase (obs/phase.h). The phases tile the query, so
+  /// their sum is at most `seconds`; a phase that did not run reads 0.
+  obs::PhaseTimes phases;
 
   /// Field-wise accumulation (group requests, all-pairs shards, bench
-  /// loops). `seconds` adds too: the sum is total query time, which is
-  /// cumulative-CPU-like when members ran on several threads.
+  /// loops). `seconds` and `phases` add too: the sum is total query time,
+  /// which is cumulative-CPU-like when members ran on several threads.
   QueryStats& operator+=(const QueryStats& other) {
     candidates_enumerated += other.candidates_enumerated;
     pruned_by_distance += other.pruned_by_distance;
@@ -135,7 +144,9 @@ struct QueryStats {
     rough_estimates += other.rough_estimates;
     skipped_after_estimate += other.skipped_after_estimate;
     refined += other.refined;
+    walks += other.walks;
     seconds += other.seconds;
+    phases += other.phases;
     return *this;
   }
 };

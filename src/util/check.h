@@ -14,10 +14,10 @@
 namespace simrank::internal {
 
 /// Optional failure-context hook: formats a NUL-terminated description of
-/// what the failing thread was doing (e.g. its open obs span path) into
+/// what the failing thread was doing (its query phase, obs/phase.h) into
 /// `buffer`, or leaves it empty. Registered by higher layers (obs does so
-/// when tracing is first activated); util itself never depends on them —
-/// the hook is best-effort by construction.
+/// when a phase is first named); util itself never depends on them — the
+/// hook is best-effort by construction.
 using CheckContextFn = void (*)(char* buffer, size_t buffer_size);
 
 inline std::atomic<CheckContextFn>& CheckContextProvider() {
@@ -56,7 +56,7 @@ inline void SetCheckAbortHook(CheckAbortFn fn) {
     fn(context, sizeof(context));
   }
   if (context[0] != '\0') {
-    std::fprintf(stderr, "CHECK failed at %s:%d: %s (in span %s)\n", file,
+    std::fprintf(stderr, "CHECK failed at %s:%d: %s (in phase %s)\n", file,
                  line, expr, context);
   } else {
     std::fprintf(stderr, "CHECK failed at %s:%d: %s\n", file, line, expr);

@@ -166,7 +166,7 @@ Status FaultInjector::Hit(const char* site) {
       std::_Exit(kAbortExitCode);
     case Action::kCheckFail:
       // Simulate an invariant violation at this site: the full
-      // SIMRANK_CHECK death path runs (span-path context, abort hooks —
+      // SIMRANK_CHECK death path runs (phase context, abort hooks —
       // i.e. the crash postmortem dump), then abort(). Deliberately
       // outside the injector lock: the abort hook may itself pass
       // through fault points.

@@ -89,6 +89,8 @@ TEST_F(AtomicFileTest, MissingDirectoryFailsFastWithIoError) {
   EXPECT_EQ(status.code(), StatusCode::kIoError);
 }
 
+// These two arm faults at sites a fault-injection-off build compiles out.
+#ifdef SIMRANK_FAULT_INJECTION
 TEST_F(AtomicFileTest, TransientInjectedFailuresAreRetriedAway) {
   const std::string path = testing::ScratchPath("atomic_retry.txt");
   std::remove(path.c_str());
@@ -126,6 +128,7 @@ TEST_F(AtomicFileTest, ExhaustedRetriesSurfaceTheErrorAndLeaveTargetAlone) {
   EXPECT_EQ(injector.InjectedCount("io.atomic.sync"), 3u);
   std::remove(path.c_str());
 }
+#endif  // SIMRANK_FAULT_INJECTION
 
 TEST_F(AtomicFileTest, RenameFaultLeavesOldContentVisible) {
   const std::string path = testing::ScratchPath("atomic_rename_fault.txt");

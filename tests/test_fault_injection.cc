@@ -198,6 +198,8 @@ TEST_F(FaultInjectionTest, ObsSnapshotExportsFaultCounters) {
 
 // ---------- the macros ----------
 
+// The macros compile to nothing without SIMRANK_FAULT_INJECTION.
+#ifdef SIMRANK_FAULT_INJECTION
 Status GuardedOperation() {
   SIMRANK_FAULT_POINT("macro.site");
   return Status::OK();
@@ -230,6 +232,7 @@ TEST_F(FaultInjectionTest, FaultPointSetMacroRespectsStickyStatus) {
   SIMRANK_FAULT_POINT_SET("sticky.site", fresh);
   EXPECT_EQ(fresh.code(), StatusCode::kIoError);
 }
+#endif  // SIMRANK_FAULT_INJECTION
 
 TEST_F(FaultInjectionTest, AbortExitCodeIsDistinctFromCliCodes) {
   // The documented CLI codes are 0-5; the chaos harness relies on 77

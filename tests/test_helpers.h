@@ -3,8 +3,10 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <system_error>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -47,6 +49,39 @@ inline DirectedGraph SmallRandomGraph(Vertex n, uint64_t seed,
   }
   builder.Deduplicate();
   return builder.Build();
+}
+
+/// Relabels vertices by `permutation` (new id of v = permutation[v], a
+/// bijection on [0, n)). SimRank is label-invariant, so scores must
+/// commute with this map.
+inline DirectedGraph PermuteVertices(const DirectedGraph& graph,
+                                     std::span<const Vertex> permutation) {
+  SIMRANK_CHECK_EQ(permutation.size(), graph.NumVertices());
+  std::vector<bool> seen(graph.NumVertices(), false);
+  for (Vertex target : permutation) {
+    SIMRANK_CHECK_LT(target, graph.NumVertices());
+    SIMRANK_CHECK(!seen[target]);
+    seen[target] = true;
+  }
+  GraphBuilder builder;
+  builder.ReserveVertices(graph.NumVertices());
+  builder.ReserveEdges(graph.NumEdges());
+  for (Vertex u = 0; u < graph.NumVertices(); ++u) {
+    for (Vertex v : graph.OutNeighbors(u)) {
+      builder.AddEdge(permutation[u], permutation[v]);
+    }
+  }
+  return builder.Build();
+}
+
+/// Uniformly random permutation of [0, n) (Fisher-Yates).
+inline std::vector<Vertex> RandomPermutation(Vertex n, Rng& rng) {
+  std::vector<Vertex> permutation(n);
+  for (Vertex v = 0; v < n; ++v) permutation[v] = v;
+  for (Vertex i = n; i > 1; --i) {
+    std::swap(permutation[i - 1], permutation[rng.UniformIndex(i)]);
+  }
+  return permutation;
 }
 
 /// `name` inside this test process's own scratch directory: a mkdtemp

@@ -1,14 +1,17 @@
 // Tests for the per-query event telemetry layer: the flight recorder
 // (obs::EventLog), rolling SLO windows (obs::RollingWindow), the
-// slow-query log (obs::SlowQueryLog), engine integration, the
-// "simrank-events-v1" exporter, and crash-time postmortem dumps.
+// slow-query log (obs::SlowQueryLog), engine integration (walks and phase
+// timings per event), the "simrank-events-v2" exporter, and crash-time
+// postmortem dumps.
 //
 // Concurrency coverage: the writer/snapshotter stress tests here are the
 // ones the tsan preset leans on (see docs/OBSERVABILITY.md).
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,7 +25,6 @@
 #include "obs/postmortem.h"
 #include "obs/rolling.h"
 #include "obs/slow_log.h"
-#include "obs/span.h"
 #include "service/query_engine.h"
 #include "test_helpers.h"
 #include "util/check.h"
@@ -341,22 +343,6 @@ TEST(SlowQueryLogTest, ShrinkingCapacityKeepsSlowest) {
   EXPECT_EQ(records[1].event.duration_ns, 700u);
 }
 
-TEST(SpanNodeTest, CloneIsDeep) {
-  obs::Tracer tracer;
-  {
-    obs::TraceScope scope(tracer);
-    obs::ScopedSpan outer("outer");
-    obs::ScopedSpan inner("inner");
-  }
-  std::unique_ptr<obs::SpanNode> clone = tracer.root().Clone();
-  ASSERT_NE(clone, nullptr);
-  const obs::SpanNode* outer = clone->FindChild("outer");
-  ASSERT_NE(outer, nullptr);
-  EXPECT_NE(outer, tracer.root().FindChild("outer"));
-  EXPECT_NE(outer->FindChild("inner"), nullptr);
-  EXPECT_EQ(outer->count, 1u);
-}
-
 // --- Engine integration -----------------------------------------------------
 
 class EngineEventsTest : public ::testing::Test {
@@ -381,6 +367,55 @@ service::EngineOptions SmallEngineOptions() {
   return options;
 }
 
+// The recorded event of `query_id`.
+QueryEvent EventOf(uint64_t query_id) {
+  for (const QueryEvent& event : EventLog::Default().Snapshot()) {
+    if (event.query_id == query_id) return event;
+  }
+  ADD_FAILURE() << "no event " << query_id;
+  return {};
+}
+
+void ExpectPhasesEqual(const obs::PhaseTimes& actual,
+                       const obs::PhaseTimes& expected) {
+  for (size_t i = 0; i < obs::kNumQueryPhases; ++i) {
+    EXPECT_EQ(actual.ns[i], expected.ns[i]) << obs::kQueryPhaseNames[i];
+  }
+}
+
+// Answers every vertex with fixed stats derived from its id, so the sums
+// the engine forms over group members are exact.
+class FixedStatsBackend : public SearcherBackend {
+ public:
+  explicit FixedStatsBackend(const DirectedGraph& graph) : graph_(graph) {}
+
+  static QueryStats StatsOf(Vertex v) {
+    QueryStats stats;
+    stats.walks = 100 + v;
+    for (size_t i = 0; i < obs::kNumQueryPhases; ++i) {
+      stats.phases.ns[i] = (v + 1) * (i + 1);
+    }
+    return stats;
+  }
+
+  BackendKind kind() const override { return BackendKind::kExact; }
+  void Build(ThreadPool*) override {}
+  bool built() const override { return true; }
+  double preprocess_seconds() const override { return 0.0; }
+  uint64_t MemoryBytes() const override { return 0; }
+  QueryResult Query(Vertex query, const QueryOverrides&) const override {
+    QueryResult result;
+    result.stats = StatsOf(query);
+    return result;
+  }
+  const DirectedGraph& graph() const override { return graph_; }
+  const SearchOptions& options() const override { return options_; }
+
+ private:
+  const DirectedGraph& graph_;
+  SearchOptions options_;
+};
+
 TEST_F(EngineEventsTest, QueryRecordsVertexEvent) {
   DirectedGraph graph = testing::SmallRandomGraph(60, 901, 40);
   auto engine = service::QueryEngine::Create(graph, SmallEngineOptions());
@@ -401,10 +436,20 @@ TEST_F(EngineEventsTest, QueryRecordsVertexEvent) {
   EXPECT_EQ(event.group_size, 1u);
   EXPECT_EQ(event.status, 0u);
   EXPECT_GT(event.walks, 0u);
+  EXPECT_EQ(event.walks, response->stats.walks);
   EXPECT_GT(event.duration_ns, 0u);
   EXPECT_EQ(event.queue_wait_ns, 0u);  // synchronous path never queued
   EXPECT_EQ(event.flags & obs::kEventSubmitted, 0);
   EXPECT_EQ(event.flags & obs::kEventCacheHit, 0);
+  // The backend's phases, each MC phase run, within the engine's time.
+  ExpectPhasesEqual(event.phases, response->stats.phases);
+  for (obs::QueryPhase phase :
+       {obs::QueryPhase::kBfs, obs::QueryPhase::kL1, obs::QueryPhase::kProfile,
+        obs::QueryPhase::kCandidates}) {
+    EXPECT_GT(event.phases[phase], 0u)
+        << obs::kQueryPhaseNames[static_cast<size_t>(phase)];
+  }
+  EXPECT_LE(event.phases.Sum(), event.duration_ns);
 }
 
 TEST_F(EngineEventsTest, CacheHitEventHasZeroWalks) {
@@ -424,6 +469,111 @@ TEST_F(EngineEventsTest, CacheHitEventHasZeroWalks) {
   EXPECT_EQ(hit.query_id, second->query_id);
   EXPECT_NE(hit.flags & obs::kEventCacheHit, 0);
   EXPECT_EQ(hit.walks, 0u);
+  EXPECT_EQ(hit.phases.Sum(), 0u);
+  // The response still carries the cached query's stats.
+  EXPECT_EQ(second->stats.walks, first->stats.walks);
+}
+
+TEST_F(EngineEventsTest, ExpiredVertexRequestRecordsZeroWalks) {
+  DirectedGraph graph = testing::SmallRandomGraph(60, 910, 40);
+  auto engine = service::QueryEngine::Create(graph, SmallEngineOptions());
+  ASSERT_TRUE(engine.ok());
+
+  service::QueryRequest request = service::QueryRequest::ForVertex(3);
+  request.deadline = service::EngineClock::now() - std::chrono::seconds(1);
+  auto response = (*engine)->Query(request);
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->status.code(), StatusCode::kDeadlineExceeded);
+
+  const QueryEvent event = EventOf(response->query_id);
+  EXPECT_EQ(event.walks, 0u);  // nothing ran
+  EXPECT_EQ(event.phases.Sum(), 0u);
+}
+
+TEST_F(EngineEventsTest, ExpiredGroupRequestRecordsZeroWalks) {
+  DirectedGraph graph = testing::SmallRandomGraph(60, 911, 40);
+  auto engine = service::QueryEngine::Create(graph, SmallEngineOptions());
+  ASSERT_TRUE(engine.ok());
+
+  service::QueryRequest request = service::QueryRequest::ForGroup({2, 5, 9});
+  request.deadline = service::EngineClock::now() - std::chrono::seconds(1);
+  auto response = (*engine)->Query(request);
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->status.code(), StatusCode::kDeadlineExceeded);
+
+  const QueryEvent event = EventOf(response->query_id);
+  EXPECT_EQ(event.group_size, 3u);
+  EXPECT_EQ(event.walks, 0u);  // no member ran
+  EXPECT_EQ(event.phases.Sum(), 0u);
+}
+
+TEST_F(EngineEventsTest, GroupEventSumsItsMembersPhasesAndWalks) {
+  DirectedGraph graph = testing::SmallRandomGraph(60, 912, 40);
+  service::EngineOptions options;
+  options.num_threads = 1;
+  auto engine = service::QueryEngine::AdoptBackend(
+      std::make_unique<FixedStatsBackend>(graph), options);
+  ASSERT_TRUE(engine.ok()) << engine.status().message();
+
+  auto response =
+      (*engine)->Query(service::QueryRequest::ForGroup({1, 2, 5}));
+  ASSERT_TRUE(response.ok());
+  QueryStats expected = FixedStatsBackend::StatsOf(1);
+  expected += FixedStatsBackend::StatsOf(2);
+  expected += FixedStatsBackend::StatsOf(5);
+  EXPECT_EQ(response->stats.walks, expected.walks);
+  ExpectPhasesEqual(response->stats.phases, expected.phases);
+
+  const QueryEvent event = EventOf(response->query_id);
+  EXPECT_EQ(event.walks, expected.walks);
+  ExpectPhasesEqual(event.phases, expected.phases);
+}
+
+TEST_F(EngineEventsTest, GroupWalksAreTheMembersWalks) {
+  DirectedGraph graph = testing::SmallRandomGraph(60, 913, 40);
+  const service::EngineOptions options = SmallEngineOptions();
+  auto engine = service::QueryEngine::Create(graph, options);
+  ASSERT_TRUE(engine.ok());
+
+  auto response = (*engine)->Query(
+      service::QueryRequest::ForGroup({2, 11, 17}).WithBypassCache());
+  ASSERT_TRUE(response.ok());
+  // Each member draws from its own seeded stream, so its walk count does
+  // not depend on how it was run.
+  const TopKSearcher& searcher = (*engine)->searcher();
+  uint64_t member_walks = 0;
+  for (Vertex v : {2u, 11u, 17u}) member_walks += searcher.Query(v).stats.walks;
+  EXPECT_EQ(response->stats.walks, member_walks);
+  EXPECT_EQ(EventOf(response->query_id).walks, member_walks);
+}
+
+TEST_F(EngineEventsTest, DegradedEventRecordsTheWalksItDrew) {
+  DirectedGraph graph = testing::SmallRandomGraph(60, 914, 40);
+  service::EngineOptions options = SmallEngineOptions();
+  options.num_threads = 1;
+  options.admission.degrade_watermark = 1;
+  auto engine = service::QueryEngine::Create(graph, options);
+  ASSERT_TRUE(engine.ok());
+
+  std::vector<service::QueryRequest> requests;
+  for (Vertex v = 0; v < 16; ++v) {
+    requests.push_back(service::QueryRequest::ForVertex(v));
+  }
+  size_t degraded = 0;
+  for (const auto& response : (*engine)->SubmitBatch(requests)) {
+    ASSERT_TRUE(response.ok());
+    if (!response->degraded) continue;
+    ++degraded;
+    // Degraded queries refine with the rough sample count.
+    const QueryStats& stats = response->stats;
+    EXPECT_EQ(stats.walks, options.search.profile_walks +
+                               (stats.rough_estimates + stats.refined) *
+                                   options.search.estimate_walks);
+    const QueryEvent event = EventOf(response->query_id);
+    EXPECT_NE(event.flags & obs::kEventDegraded, 0);
+    EXPECT_EQ(event.walks, stats.walks);
+  }
+  EXPECT_GE(degraded, 1u);
 }
 
 TEST_F(EngineEventsTest, SubmittedEventCarriesQueueWait) {
@@ -478,7 +628,7 @@ TEST_F(EngineEventsTest, RecordEventsOffDisablesRecording) {
   EXPECT_TRUE(EventLog::Default().Snapshot().empty());
 }
 
-TEST_F(EngineEventsTest, SlowLogCapturesSpanTree) {
+TEST_F(EngineEventsTest, SlowLogRecordsCarryPhases) {
   DirectedGraph graph = testing::SmallRandomGraph(60, 906, 40);
   service::EngineOptions options = SmallEngineOptions();
   options.slow_log_threshold_seconds = 1e-12;  // everything is slow
@@ -494,8 +644,11 @@ TEST_F(EngineEventsTest, SlowLogCapturesSpanTree) {
   ASSERT_FALSE(records.empty());
   const SlowQueryRecord& record = records.front();
   EXPECT_EQ(record.vertices, std::vector<uint32_t>{4});
-  ASSERT_NE(record.trace, nullptr);
-  EXPECT_NE(record.trace->FindChild("engine_query"), nullptr);
+  EXPECT_EQ(record.event.query_id, response->query_id);
+  ExpectPhasesEqual(record.event.phases, response->stats.phases);
+  EXPECT_GT(record.event.phases[obs::QueryPhase::kBfs], 0u);
+  EXPECT_GT(record.event.phases[obs::QueryPhase::kProfile], 0u);
+  EXPECT_GT(record.event.phases[obs::QueryPhase::kCandidates], 0u);
 }
 
 TEST_F(EngineEventsTest, SloSpecsPublishServiceGauges) {
@@ -531,7 +684,7 @@ TEST_F(EngineEventsTest, InvalidSloSpecIsRejected) {
   EXPECT_FALSE(service::QueryEngine::Create(graph, options).ok());
 }
 
-// --- simrank-events-v1 JSON -------------------------------------------------
+// --- simrank-events-v2 JSON -------------------------------------------------
 
 TEST_F(EngineEventsTest, EventsJsonRoundTrips) {
   obs::EventsReport report;
@@ -542,13 +695,10 @@ TEST_F(EngineEventsTest, EventsJsonRoundTrips) {
 
   SlowQueryRecord slow = MakeSlowRecord(2'000'000);
   slow.event.query_id = 43;
-  obs::Tracer tracer;
-  {
-    obs::TraceScope scope(tracer);
-    obs::ScopedSpan span("engine_query");
+  for (size_t i = 0; i < obs::kNumQueryPhases; ++i) {
+    slow.event.phases.ns[i] = 1000 * (i + 1);
   }
-  slow.trace = tracer.root().Clone();
-  report.slow.push_back(std::move(slow));
+  report.slow.push_back(slow);
 
   RollingWindow window(4, 1);
   SloSpec spec;
@@ -560,7 +710,7 @@ TEST_F(EngineEventsTest, EventsJsonRoundTrips) {
   report.window = window.Snapshot(600);
 
   JsonValue doc = ParseOrFail(obs::EventsToJson(report));
-  EXPECT_EQ(doc.At("schema").string, "simrank-events-v1");
+  EXPECT_EQ(doc.At("schema").string, "simrank-events-v2");
   ASSERT_EQ(doc.At("events").array.size(), 1u);
   const JsonValue& ev = doc.At("events").array[0];
   EXPECT_EQ(ev.At("id").number, 42.0);
@@ -569,12 +719,24 @@ TEST_F(EngineEventsTest, EventsJsonRoundTrips) {
   EXPECT_EQ(ev.At("status").string, "OK");
   EXPECT_TRUE(ev.At("cache_hit").boolean);
   EXPECT_FALSE(ev.At("submitted").boolean);
+  // Every event lists every phase; a cache hit ran none.
+  const JsonValue& ev_phases = ev.At("phases");
+  ASSERT_EQ(ev_phases.object.size(), obs::kNumQueryPhases);
+  for (const char* name : obs::kQueryPhaseNames) {
+    EXPECT_EQ(ev_phases.At(name).number, 0.0) << name;
+  }
 
   ASSERT_EQ(doc.At("slow").array.size(), 1u);
   const JsonValue& sl = doc.At("slow").array[0];
   EXPECT_EQ(sl.At("event").At("id").number, 43.0);
   ASSERT_EQ(sl.At("vertices").array.size(), 1u);
-  EXPECT_NE(sl.At("trace").kind, JsonValue::Kind::kNull);
+  EXPECT_EQ(sl.object.count("trace"), 0u);
+  const JsonValue& sl_phases = sl.At("event").At("phases");
+  for (size_t i = 0; i < obs::kNumQueryPhases; ++i) {
+    EXPECT_EQ(sl_phases.At(obs::kQueryPhaseNames[i]).number,
+              1000.0 * (i + 1))
+        << obs::kQueryPhaseNames[i];
+  }
 
   const JsonValue& win = doc.At("window");
   EXPECT_EQ(win.At("count").number, 1.0);
@@ -586,22 +748,13 @@ TEST_F(EngineEventsTest, EventsJsonRoundTrips) {
   EXPECT_EQ(doc.object.count("postmortem"), 0u);
 }
 
-TEST_F(EngineEventsTest, NullTraceSerializesAsNull) {
-  obs::EventsReport report;
-  report.slow.push_back(MakeSlowRecord(1000));  // no trace attached
-  JsonValue doc = ParseOrFail(obs::EventsToJson(report));
-  ASSERT_EQ(doc.At("slow").array.size(), 1u);
-  EXPECT_EQ(doc.At("slow").array[0].At("trace").kind,
-            JsonValue::Kind::kNull);
-}
-
 // --- postmortem dumps -------------------------------------------------------
 
 TEST_F(EngineEventsTest, WritePostmortemDumpDirectly) {
   EventLog::Default().Record(MakeEvent(1234));
   obs::PostmortemInfo info;
   info.reason = "CHECK failed at test.cc:1: false";
-  info.span_path = "engine_query/profile";
+  info.span_path = "profile";
   const std::string path = testing::ScratchPath("events_pm_direct.json");
   Status status = obs::WritePostmortemDump(path, info);
   ASSERT_TRUE(status.ok()) << status.message();
@@ -617,11 +770,11 @@ TEST_F(EngineEventsTest, WritePostmortemDumpDirectly) {
   std::fclose(file);
 
   JsonValue doc = ParseOrFail(text);
-  EXPECT_EQ(doc.At("schema").string, "simrank-events-v1");
+  EXPECT_EQ(doc.At("schema").string, "simrank-events-v2");
   EXPECT_GE(doc.At("events").array.size(), 1u);
   const JsonValue& pm = doc.At("postmortem");
   EXPECT_EQ(pm.At("reason").string, "CHECK failed at test.cc:1: false");
-  EXPECT_EQ(pm.At("span_path").string, "engine_query/profile");
+  EXPECT_EQ(pm.At("span_path").string, "profile");
 }
 
 using EngineEventsDeathTest = EngineEventsTest;
@@ -650,7 +803,7 @@ TEST_F(EngineEventsDeathTest, CheckFailureWritesPostmortemDump) {
   std::fclose(file);
 
   JsonValue doc = ParseOrFail(text);
-  EXPECT_EQ(doc.At("schema").string, "simrank-events-v1");
+  EXPECT_EQ(doc.At("schema").string, "simrank-events-v2");
   const JsonValue& pm = doc.At("postmortem");
   EXPECT_NE(pm.At("reason").string.find("CHECK failed"), std::string::npos);
 }
@@ -683,8 +836,42 @@ TEST_F(EngineEventsDeathTest, InjectedCheckFailureWritesPostmortemDump) {
     text.append(buffer, n);
   }
   std::fclose(file);
-  EXPECT_NE(text.find("simrank-events-v1"), std::string::npos);
+  EXPECT_NE(text.find("simrank-events-v2"), std::string::npos);
   EXPECT_NE(text.find("test.events.site"), std::string::npos);
+}
+
+TEST_F(EngineEventsDeathTest, EngineCheckFailureNamesTheEngineStage) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::string path = testing::ScratchPath("events_pm_engine.json");
+  std::remove(path.c_str());
+  DirectedGraph graph = testing::SmallRandomGraph(60, 915, 40);
+
+  // The slow log stays disarmed: the phase is named regardless.
+  EXPECT_DEATH(
+      {
+        auto engine =
+            service::QueryEngine::Create(graph, SmallEngineOptions());
+        fault::SiteConfig config;
+        config.action = fault::Action::kCheckFail;
+        config.on_hit = 1;
+        fault::FaultInjector::Default().Arm("service.query.exec", config);
+        obs::SetPostmortemPath(path);
+        auto response = (*engine)->Query(service::QueryRequest::ForVertex(1));
+        (void)response;
+      },
+      "CHECK failed.*\\(in phase engine_query\\)");
+
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(file, nullptr) << "postmortem dump missing: " << path;
+  std::string text;
+  char buffer[4096];
+  size_t n;
+  while ((n = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
+    text.append(buffer, n);
+  }
+  std::fclose(file);
+  JsonValue doc = ParseOrFail(text);
+  EXPECT_EQ(doc.At("postmortem").At("span_path").string, "engine_query");
 }
 #endif  // SIMRANK_FAULT_INJECTION
 

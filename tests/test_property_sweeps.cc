@@ -157,6 +157,30 @@ TEST_P(FamilySweepTest, TrueSimRankRespectsHalfDistanceBound) {
   }
 }
 
+TEST(PermutationTest, SimRankIsLabelInvariant) {
+  // Exact SimRank commutes with relabeling.
+  for (uint64_t seed : {1007ULL, 1008ULL}) {
+    const DirectedGraph graph = testing::SmallRandomGraph(60, seed, 40);
+    Rng rng(seed + 1);
+    const std::vector<Vertex> permutation =
+        testing::RandomPermutation(graph.NumVertices(), rng);
+    const DirectedGraph relabeled =
+        testing::PermuteVertices(graph, permutation);
+    SimRankParams params;
+    params.decay = 0.6;
+    params.num_steps = 12;
+    const DenseMatrix original = ComputeSimRankPartialSums(graph, params);
+    const DenseMatrix mapped = ComputeSimRankPartialSums(relabeled, params);
+    for (Vertex u = 0; u < graph.NumVertices(); ++u) {
+      for (Vertex v = 0; v < graph.NumVertices(); ++v) {
+        ASSERT_NEAR(original.At(u, v),
+                    mapped.At(permutation[u], permutation[v]), 1e-12)
+            << u << "," << v;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Families, FamilySweepTest,
     ::testing::Values(

@@ -146,8 +146,9 @@ file(REMOVE ${out} ${obs})
 
 # Postmortem dump: inject a SIMRANK_CHECK failure mid-query-stream with
 # crash dumps armed. The process must die abnormally (CHECK -> abort) but
-# leave a parseable "simrank-events-v1" document behind, stamped with the
-# span the failing thread was in.
+# leave a parseable "simrank-events-v2" document behind, stamped with the
+# phase the failing thread was in (the fault point sits in the engine
+# stage, named engine_query).
 set(pm ${WORK_DIR}/chaos_postmortem.json)
 file(REMOVE ${pm})
 execute_process(
@@ -163,15 +164,15 @@ if(NOT EXISTS ${pm})
   message(FATAL_ERROR "postmortem: no dump at ${pm}\n${o}\n${e}")
 endif()
 file(READ ${pm} pm_json)
-if(NOT pm_json MATCHES "simrank-events-v1")
-  message(FATAL_ERROR "postmortem dump is not a simrank-events-v1 document:\n"
+if(NOT pm_json MATCHES "simrank-events-v2")
+  message(FATAL_ERROR "postmortem dump is not a simrank-events-v2 document:\n"
                       "${pm_json}")
 endif()
 if(NOT pm_json MATCHES "\"postmortem\"")
   message(FATAL_ERROR "postmortem dump lacks the crash context:\n${pm_json}")
 endif()
 if(NOT pm_json MATCHES "engine_query")
-  message(FATAL_ERROR "postmortem dump lacks the failing span path:\n"
+  message(FATAL_ERROR "postmortem dump lacks the failing phase:\n"
                       "${pm_json}")
 endif()
 file(REMOVE ${pm})

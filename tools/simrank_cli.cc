@@ -86,11 +86,11 @@ int Usage() {
                "                   simrank-obs-v1) after the command runs,\n"
                "                   even when it fails\n"
                "  --events-json=PATH  write the per-query event report\n"
-               "                   (JSON, simrank-events-v1: flight\n"
+               "                   (JSON, simrank-events-v2: flight\n"
                "                   recorder, slow-query log, SLO window)\n"
                "                   after the command runs, even on failure\n"
                "  --postmortem=PATH  arm crash dumps: a SIMRANK_CHECK\n"
-               "                   failure writes a simrank-events-v1\n"
+               "                   failure writes a simrank-events-v2\n"
                "                   document to PATH before aborting\n"
                "exit codes: 0 ok, 1 internal, 2 usage, 3 io, 4 corruption,\n"
                "            5 deadline/degraded/overload-shed\n");

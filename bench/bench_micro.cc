@@ -27,7 +27,6 @@
 #include "bench_common.h"
 #include "graph/generators.h"
 #include "graph/traversal.h"
-#include "obs/event_log.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "service/query_engine.h"
@@ -302,7 +301,11 @@ service::QueryEngine& BenchEngine() {
   return *engine;
 }
 
-void RunEngineQuery(benchmark::State& state) {
+// Engine overhead over the bare kernel: same rotating queries as
+// BM_TopKQuery, cache bypassed so every iteration runs the kernel; the
+// event layer records every request, as it does whenever obs is on.
+// EXPERIMENTS.md tracks this against BM_TopKQuery.
+void BM_EngineQuery(benchmark::State& state) {
   service::QueryEngine& engine = BenchEngine();
   const std::vector<Vertex>& queries = BenchQueryVertices();
   size_t i = 0;
@@ -315,30 +318,7 @@ void RunEngineQuery(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-
-// Engine overhead over the bare kernel: same rotating queries as
-// BM_TopKQuery, cache bypassed so every iteration runs the kernel.
-// EXPERIMENTS.md tracks this against BM_TopKQuery.
-void BM_EngineQuery(benchmark::State& state) { RunEngineQuery(state); }
 BENCHMARK(BM_EngineQuery);
-
-// Flight-recorder overhead pair: BM_EngineQuery with the event layer
-// explicitly on (the default — each query records a QueryEvent into the
-// sharded ring and a rolling-window bucket) vs. hard-disabled through the
-// obs::SetEventsEnabled kill switch. EXPERIMENTS.md tracks the delta
-// (acceptance: <= 2%, the "always-on" budget).
-void BM_EngineQueryEvents(benchmark::State& state) {
-  obs::SetEventsEnabled(true);
-  RunEngineQuery(state);
-}
-BENCHMARK(BM_EngineQueryEvents);
-
-void BM_EngineQueryNoEvents(benchmark::State& state) {
-  obs::SetEventsEnabled(false);
-  RunEngineQuery(state);
-  obs::SetEventsEnabled(true);
-}
-BENCHMARK(BM_EngineQueryNoEvents);
 
 // The same request over and over: after the first iteration everything is
 // a result-cache hit. EXPERIMENTS.md tracks the hit/cold ratio (>= 10x).

@@ -8,7 +8,6 @@
 #include <thread>
 #include <utility>
 
-#include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/rolling.h"
 #include "util/rng.h"
@@ -20,6 +19,12 @@ namespace {
 using service::PriorityClass;
 using service::QueryRequest;
 using service::QueryResponse;
+
+/// Collection backpressure bound: when this many submissions are
+/// uncollected, the generator drains the oldest before sending more.
+/// Bounds generator memory without closing the loop: the schedule never
+/// waits on the engine unless the engine is this far behind.
+constexpr size_t kMaxUncollected = 4096;
 
 /// Exact percentile of an unsorted sample set (sorts a copy the caller
 /// already owns; nearest-rank estimator).
@@ -138,10 +143,7 @@ Result<LoadReport> LoadGenerator::Run() {
     } else {
       pending.push_back({std::move(handle.value()), arrival.priority});
     }
-    while (options_.max_uncollected > 0 &&
-           pending.size() >= options_.max_uncollected) {
-      drain_one();
-    }
+    while (pending.size() >= kMaxUncollected) drain_one();
   }
   while (!pending.empty()) drain_one();
   const double wall_seconds =
@@ -162,8 +164,7 @@ Result<LoadReport> LoadGenerator::Run() {
   report.achieved_qps =
       wall_seconds > 0.0 ? static_cast<double>(executed_ok) / wall_seconds
                          : 0.0;
-  if (obs::IsEnabled() && obs::EventsEnabled() &&
-      !engine_.options().slos.empty()) {
+  if (obs::IsEnabled() && !engine_.options().slos.empty()) {
     const obs::WindowSnapshot window = obs::RollingWindow::Default().Snapshot(
         obs::RollingWindow::NowSecond());
     report.slos = window.slos;

@@ -37,12 +37,6 @@ struct LoadGenOptions {
   /// Per-request deadline applied to interactive arrivals (seconds);
   /// 0 = no deadline.
   double interactive_deadline_seconds = 0.0;
-  /// Collection backpressure bound: when this many submissions are
-  /// uncollected, the generator drains the oldest before sending more.
-  /// Bounds generator memory without closing the loop: the schedule
-  /// never waits on the engine unless the engine is more than this far
-  /// behind. 0 = unbounded.
-  size_t max_uncollected = 4096;
 
   Status Validate() const {
     SIMRANK_RETURN_IF_ERROR(workload.Validate());

@@ -1,19 +1,10 @@
 #include "obs/event_log.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "obs/metrics.h"
 
 namespace simrank::obs {
-
-void SetEventsEnabled(bool enabled) {
-  internal::EventsEnabledFlag().store(enabled, std::memory_order_relaxed);
-}
-
-bool EventsEnabled() {
-  return internal::EventsEnabledFlag().load(std::memory_order_relaxed);
-}
 
 EventLog& EventLog::Default() {
   static EventLog* log = new EventLog();
@@ -45,7 +36,7 @@ EventLog::Shard& EventLog::ShardForThisThread() {
 }
 
 uint64_t EventLog::Record(QueryEvent event) {
-  if (!IsEnabled() || !EventsEnabled()) return 0;
+  if (!IsEnabled()) return 0;
   const uint64_t id = sequence_.fetch_add(1, std::memory_order_relaxed) + 1;
   event.query_id = id;
   Shard& shard = ShardForThisThread();
@@ -82,13 +73,6 @@ void EventLog::Clear() {
     shard->written = 0;
   }
   sequence_.store(0, std::memory_order_relaxed);
-}
-
-uint64_t EventLog::NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 }  // namespace simrank::obs

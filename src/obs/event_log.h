@@ -8,8 +8,9 @@
 // the flight recorder answers "what were the last N queries, exactly" —
 // the record a p999 investigation or a crash postmortem needs. Cost per
 // query is one uncontended shard mutex plus a 120-byte struct copy, which
-// is why it can stay on in production (budget: ≤ 2% on BM_EngineQuery,
-// measured by the BM_EngineQueryEvents / BM_EngineQueryNoEvents pair).
+// is why it stays on whenever obs is (obs::SetEnabled): its cost is inside
+// every engine timing, BM_EngineQuery and perfbench's end-to-end metrics
+// included.
 //
 // Sharding: each recording thread is pinned to one shard (round-robin at
 // first use), so writers on different threads never contend. Events carry
@@ -33,19 +34,6 @@
 #include "util/thread_annotations.h"
 
 namespace simrank::obs {
-
-/// Kill switch for the event layer only (flight recorder, slow-query log,
-/// rolling windows). The event layer is live iff both this and the global
-/// obs::SetEnabled switch are on; defaults on.
-void SetEventsEnabled(bool enabled);
-bool EventsEnabled();
-
-namespace internal {
-inline std::atomic<bool>& EventsEnabledFlag() {
-  static std::atomic<bool> enabled{true};
-  return enabled;
-}
-}  // namespace internal
 
 /// What kind of request an event describes.
 enum class QueryEventMode : uint8_t {
@@ -111,7 +99,7 @@ class EventLog {
 
   /// Records `event` (query_id is overwritten with the next sequence
   /// number) and returns the assigned id. Returns 0 — recording nothing —
-  /// when the event layer or obs as a whole is disabled.
+  /// when obs is disabled.
   uint64_t Record(QueryEvent event);
 
   /// The retained events, oldest first (sorted by query_id). Safe against
@@ -131,9 +119,6 @@ class EventLog {
 
   /// Drops every retained event and restarts the id sequence (tests).
   void Clear();
-
-  /// Steady-clock nanoseconds (the timebase of QueryEvent::start_ns).
-  static uint64_t NowNs();
 
  private:
   struct Shard {

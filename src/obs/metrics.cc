@@ -1,5 +1,6 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -36,27 +37,31 @@ double Histogram::BucketRepresentative(uint32_t index) {
 }
 
 double Histogram::Percentile(double p) const {
-  SIMRANK_CHECK_GE(p, 0.0);
-  SIMRANK_CHECK_LE(p, 100.0);
   // Walk the cumulative distribution over a point-in-time copy of the
   // buckets so the total and the walk agree even under concurrent writers.
   uint64_t counts[kNumBuckets];
-  uint64_t total = 0;
   for (uint32_t i = 0; i < kNumBuckets; ++i) {
     counts[i] = buckets_[i].load(std::memory_order_relaxed);
-    total += counts[i];
   }
+  return PercentileOf(counts, p);
+}
+
+double Histogram::PercentileOf(const uint64_t (&counts)[kNumBuckets],
+                               double p) {
+  SIMRANK_CHECK_GE(p, 0.0);
+  SIMRANK_CHECK_LE(p, 100.0);
+  uint64_t total = 0;
+  for (const uint64_t count : counts) total += count;
   if (total == 0) return 0.0;
-  uint64_t rank = static_cast<uint64_t>(std::ceil(p / 100.0 *
-                                                  static_cast<double>(total)));
-  if (rank == 0) rank = 1;
-  if (rank > total) rank = total;
+  const uint64_t rank = std::max<uint64_t>(
+      1, static_cast<uint64_t>(
+             std::ceil(p / 100.0 * static_cast<double>(total))));
   uint64_t cumulative = 0;
   for (uint32_t i = 0; i < kNumBuckets; ++i) {
     cumulative += counts[i];
     if (cumulative >= rank) return BucketRepresentative(i);
   }
-  return BucketRepresentative(kNumBuckets - 1);  // unreachable
+  return BucketRepresentative(kNumBuckets - 1);  // unreachable: p <= 100
 }
 
 HistogramSnapshot Histogram::Snapshot() const {

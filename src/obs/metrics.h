@@ -118,10 +118,16 @@ class Histogram {
   uint64_t Sum() const { return sum_.load(std::memory_order_relaxed); }
   uint64_t Max() const { return max_.load(std::memory_order_relaxed); }
 
-  /// Value at percentile p in [0, 100]: the representative (midpoint) of
-  /// the bucket holding the rank-ceil(p/100 * count) smallest sample.
-  /// Returns 0 on an empty histogram.
+  /// Value at percentile p in [0, 100] (PercentileOf over the buckets).
   double Percentile(double p) const;
+
+  /// Value at percentile p in [0, 100] of log-linear bucket counts: the
+  /// representative (midpoint) of the bucket holding the
+  /// rank-ceil(p/100 * total) smallest sample, where total is the sum of
+  /// `counts`. Returns 0 when every count is 0. The one percentile walk:
+  /// rolling windows and the admission controller rank their own bucket
+  /// counts with it too.
+  static double PercentileOf(const uint64_t (&counts)[kNumBuckets], double p);
 
   /// Count / sum / max / mean / p50 / p95 / p99 in one consistent-ish read.
   HistogramSnapshot Snapshot() const;

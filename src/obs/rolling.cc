@@ -26,22 +26,6 @@ bool IsLatencyObjective(SloSpec::Objective objective) {
   return false;
 }
 
-/// Percentile over an accumulated log-linear histogram (same walk as
-/// Histogram::Percentile, over plain counts).
-double HistPercentile(const uint64_t (&counts)[Histogram::kNumBuckets],
-                      uint64_t total, double p) {
-  if (total == 0) return 0.0;
-  uint64_t rank = static_cast<uint64_t>(
-      std::ceil(p / 100.0 * static_cast<double>(total)));
-  if (rank == 0) rank = 1;
-  uint64_t cumulative = 0;
-  for (uint32_t i = 0; i < Histogram::kNumBuckets; ++i) {
-    cumulative += counts[i];
-    if (cumulative >= rank) return Histogram::BucketRepresentative(i);
-  }
-  return Histogram::BucketRepresentative(Histogram::kNumBuckets - 1);
-}
-
 }  // namespace
 
 const char* SloObjectiveName(SloSpec::Objective objective) {
@@ -105,9 +89,10 @@ std::vector<SloSpec> RollingWindow::slos() const {
   return slos_;
 }
 
-void RollingWindow::Record(uint64_t now_second, uint64_t latency_ns,
-                           uint8_t flags, uint8_t status) {
-  if (!IsEnabled() || !EventsEnabled()) return;
+void RollingWindow::Record(uint64_t now_second,
+                           std::optional<uint64_t> latency_ns, uint8_t flags,
+                           uint8_t status) {
+  if (!IsEnabled()) return;
   const uint64_t aligned = AlignedSecond(now_second);
   MutexLock lock(mutex_);
   Bucket& bucket = buckets_[(aligned / bucket_seconds_) % num_buckets_];
@@ -128,9 +113,10 @@ void RollingWindow::Record(uint64_t now_second, uint64_t latency_ns,
   if (flags & kEventShed) ++bucket.shed;
   if (flags & kEventDegraded) ++bucket.degraded;
   if (flags & kEventCacheHit) ++bucket.cache_hits;
-  bucket.latency_sum_ns += latency_ns;
-  bucket.latency_max_ns = std::max(bucket.latency_max_ns, latency_ns);
-  ++bucket.latency_hist[Histogram::BucketIndex(latency_ns)];
+  if (!latency_ns.has_value()) return;
+  bucket.latency_sum_ns += *latency_ns;
+  bucket.latency_max_ns = std::max(bucket.latency_max_ns, *latency_ns);
+  ++bucket.latency_hist[Histogram::BucketIndex(*latency_ns)];
 }
 
 WindowSnapshot RollingWindow::SnapshotLocked(uint64_t now_second) const {
@@ -167,17 +153,20 @@ WindowSnapshot RollingWindow::SnapshotLocked(uint64_t now_second) const {
             [](const WindowBucket& a, const WindowBucket& b) {
               return a.second < b.second;
             });
-  snapshot.latency_p50_ns = HistPercentile(hist, snapshot.count, 50.0);
-  snapshot.latency_p95_ns = HistPercentile(hist, snapshot.count, 95.0);
-  snapshot.latency_p99_ns = HistPercentile(hist, snapshot.count, 99.0);
+  snapshot.latency_p50_ns = Histogram::PercentileOf(hist, 50.0);
+  snapshot.latency_p95_ns = Histogram::PercentileOf(hist, 95.0);
+  snapshot.latency_p99_ns = Histogram::PercentileOf(hist, 99.0);
+  uint64_t latency_samples = 0;
+  for (const uint64_t count : hist) latency_samples += count;
 
   snapshot.slos.reserve(slos_.size());
   for (const SloSpec& spec : slos_) {
     SloResult result;
     result.spec = spec;
-    result.samples = snapshot.count;
-    if (snapshot.count == 0) {
-      // No traffic in the window: every objective is vacuously met.
+    result.samples = IsLatencyObjective(spec.objective) ? latency_samples
+                                                        : snapshot.count;
+    if (result.samples == 0) {
+      // Nothing to evaluate in the window: the objective is vacuously met.
       result.value = 0.0;
       result.ok = true;
     } else {

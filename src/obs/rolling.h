@@ -9,11 +9,13 @@
 // read from them. RollingWindow keeps N wall-second buckets (default
 // 60 x 1 s) of request counts, error/shed/degraded counts and a
 // log-linear latency histogram (the same bucketing as obs::Histogram),
-// reusing each bucket ring-style as time advances. Declared SloSpec
-// objectives are evaluated over the in-window buckets and published as
-// `service.slo.<name>.ok` / `.value_us` / `.value_ppm` gauges in
-// MetricsRegistry::Default() (updated on bucket rollover and on every
-// Snapshot/UpdateGauges call).
+// reusing each bucket ring-style as time advances. Latency percentiles
+// rank the latency samples only: a request recorded without one (shed,
+// or expired before it started) counts toward the rates, not the
+// latency. Declared SloSpec objectives are evaluated over the in-window
+// buckets and published as `service.slo.<name>.ok` / `.value_us` /
+// `.value_ppm` gauges in MetricsRegistry::Default() (updated on bucket
+// rollover and on every Snapshot/UpdateGauges call).
 //
 // Time is passed in explicitly as integer seconds (steady clock; see
 // NowSecond) so tests can drive the window with a synthetic clock.
@@ -22,6 +24,7 @@
 // for a few dozen loads/stores once per query).
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,12 +55,13 @@ struct SloSpec {
 /// Stable token for an objective ("latency_p99", "error_rate", ...).
 const char* SloObjectiveName(SloSpec::Objective objective);
 
-/// One evaluated objective. An empty window satisfies every objective
-/// vacuously (ok = true, samples = 0).
+/// One evaluated objective. An objective with no samples in the window
+/// is met vacuously (ok = true, samples = 0).
 struct SloResult {
   SloSpec spec;
   double value = 0.0;  ///< seconds for latency, fraction for rates
   bool ok = true;
+  /// Latency samples for latency objectives, requests for rates.
   uint64_t samples = 0;
 };
 
@@ -69,7 +73,7 @@ struct WindowBucket {
   uint64_t shed = 0;
   uint64_t degraded = 0;
   uint64_t cache_hits = 0;
-  uint64_t latency_sum_ns = 0;
+  uint64_t latency_sum_ns = 0;  ///< over the latency samples
   uint64_t latency_max_ns = 0;
 };
 
@@ -114,10 +118,11 @@ class RollingWindow {
   std::vector<SloSpec> slos() const SIMRANK_EXCLUDES(mutex_);
 
   /// Accounts one finished request into the bucket of `now_second`.
-  /// `flags` is QueryEvent::flags, `status` its StatusCode (non-OK counts
-  /// as an error). No-op when obs or the event layer is disabled.
-  void Record(uint64_t now_second, uint64_t latency_ns, uint8_t flags,
-              uint8_t status) SIMRANK_EXCLUDES(mutex_);
+  /// `latency_ns` is its latency sample, nullopt for a request that gave
+  /// none. `flags` is QueryEvent::flags, `status` its StatusCode (non-OK
+  /// counts as an error). No-op when obs is disabled.
+  void Record(uint64_t now_second, std::optional<uint64_t> latency_ns,
+              uint8_t flags, uint8_t status) SIMRANK_EXCLUDES(mutex_);
 
   /// The in-window buckets, their totals/percentiles, and every SLO
   /// evaluated at `now_second` (gauges are refreshed as a side effect).

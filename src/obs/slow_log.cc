@@ -36,7 +36,7 @@ void SlowQueryLog::Configure(uint64_t threshold_ns, size_t capacity) {
 bool SlowQueryLog::Offer(SlowQueryRecord record) {
   const uint64_t threshold = threshold_ns_.load(std::memory_order_relaxed);
   if (threshold == 0 || record.event.duration_ns < threshold) return false;
-  if (!IsEnabled() || !EventsEnabled()) return false;
+  if (!IsEnabled()) return false;
   {
     MutexLock lock(mutex_);
     if (records_.size() >= capacity_) {

@@ -50,12 +50,11 @@ class SlowQueryLog {
   void Configure(uint64_t threshold_ns, size_t capacity)
       SIMRANK_EXCLUDES(mutex_);
 
-  /// True when the log retains records (obs and the event layer enabled,
-  /// threshold non-zero). Lock-free; engines call this per query before
-  /// building a record.
+  /// True when the log retains records (obs enabled, threshold
+  /// non-zero). Lock-free; engines call this per query before building a
+  /// record.
   bool armed() const {
-    return threshold_ns_.load(std::memory_order_relaxed) != 0 &&
-           IsEnabled() && EventsEnabled();
+    return threshold_ns_.load(std::memory_order_relaxed) != 0 && IsEnabled();
   }
   uint64_t threshold_ns() const {
     return threshold_ns_.load(std::memory_order_relaxed);

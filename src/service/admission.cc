@@ -8,22 +8,6 @@ namespace simrank::service {
 
 namespace {
 
-/// p-th percentile of a log-linear bucket-count array (same estimator
-/// as obs::Histogram::Percentile / the rolling window's HistPercentile:
-/// first bucket whose cumulative count covers the rank, reported as the
-/// bucket midpoint).
-double HistPercentileNs(const uint64_t* hist, uint64_t total, double p) {
-  if (total == 0) return 0.0;
-  const uint64_t rank = static_cast<uint64_t>(std::ceil(p * total));
-  const uint64_t target = std::max<uint64_t>(1, rank);
-  uint64_t seen = 0;
-  for (uint32_t i = 0; i < obs::Histogram::kNumBuckets; ++i) {
-    seen += hist[i];
-    if (seen >= target) return obs::Histogram::BucketRepresentative(i);
-  }
-  return 0.0;
-}
-
 obs::Gauge& LevelGauge() {
   static obs::Gauge* gauge =
       &obs::MetricsRegistry::Default().GetGauge("service.admission.level");
@@ -211,9 +195,9 @@ void AdmissionController::RollWindowLocked(uint64_t second) {
   // are healthy by definition, but only the one evaluated window counts
   // one step toward the streak — a 10-second idle gap is one recovery
   // observation, not ten.
-  const double p99_ns = HistPercentileNs(window_hist_, window_count_, 0.99);
+  const double p99_ns = obs::Histogram::PercentileOf(window_hist_, 99.0);
   const double target_ns = options_.target_p99_seconds * 1e9;
-  const bool measurable = window_count_ >= options_.min_window_samples;
+  const bool measurable = window_count_ >= kMinWindowSamples;
   const bool breached = measurable && p99_ns > target_ns;
   if (breached) {
     recover_streak_ = 0;

@@ -28,8 +28,8 @@
 // The controller is policy only: it decides, the engine applies. It
 // keeps its own latency window (obs::RollingWindow::Record no-ops when
 // observability is switched off, and admission control must keep
-// working with obs dark), reusing obs::Histogram's log-linear bucketing
-// for the p99 estimate.
+// working with obs dark), ranked for the p99 estimate by
+// obs::Histogram::PercentileOf.
 //
 // Every method takes time explicitly (seconds) so tests drive the
 // feedback loop with a synthetic clock; the engine passes steady-clock
@@ -102,6 +102,10 @@ const char* DegradationLevelName(DegradationLevel level);
 /// that bypasses per-client rate limits.
 uint64_t HashClientId(std::string_view client_id);
 
+/// Seconds with fewer interactive completions than this are ignored by
+/// the feedback loop (a 1-sample p99 is noise, not a breach signal).
+inline constexpr uint64_t kMinWindowSamples = 8;
+
 /// Admission-control knobs (EngineOptions::admission). The zero value
 /// disables every mechanism, which keeps the engine's default serving
 /// behavior bit-identical to PR 3.
@@ -130,9 +134,6 @@ struct AdmissionOptions {
   uint32_t breach_steps = 2;
   /// Consecutive healthy seconds before recovering one level.
   uint32_t recover_steps = 5;
-  /// Seconds with fewer completions than this are ignored by the
-  /// feedback loop (a 1-sample p99 is noise, not a breach signal).
-  uint64_t min_window_samples = 8;
 
   /// True when any mechanism is configured (the engine skips building a
   /// controller entirely otherwise).
@@ -177,10 +178,13 @@ class AdmissionController {
                                       size_t total_queued) const
       SIMRANK_EXCLUDES(mutex_);
 
-  /// Feedback input: one finished request of `priority` took
+  /// Feedback input: one answered request of `priority` took
   /// `duration_ns` and completed during `now_seconds`. Interactive
   /// completions drive the degradation level; batch completions are
-  /// accounted but do not move the level.
+  /// accounted but do not move the level. The engine calls it for
+  /// answered requests only (a cache hit, or at least one backend query
+  /// ran): shed and expired requests would feed the p99 fast samples
+  /// just when the service falls behind.
   void OnComplete(PriorityClass priority, uint64_t duration_ns,
                   double now_seconds) SIMRANK_EXCLUDES(mutex_);
 

@@ -15,7 +15,6 @@
 #include "service/result_cache.h"
 #include "simrank/backend_mc.h"
 #include "util/fault_injection.h"
-#include "util/timer.h"
 #include "util/top_k.h"
 
 namespace simrank::service {
@@ -81,15 +80,19 @@ size_t ResolveThreads(uint32_t num_threads) {
   return hw > 0 ? hw : 1;
 }
 
-bool DeadlinePassed(const std::optional<EngineClock::time_point>& deadline) {
-  return deadline.has_value() && EngineClock::now() >= *deadline;
+/// Result cache shards: a key hashes to one, so lookups on different
+/// shards never contend.
+constexpr uint32_t kCacheShards = 8;
+
+uint64_t Nanos(EngineClock::duration duration) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(duration).count());
 }
 
 /// Steady-clock time as fractional seconds — the timebase the admission
 /// controller's token buckets and feedback window run on.
-double SteadySeconds() {
-  return std::chrono::duration<double>(EngineClock::now().time_since_epoch())
-      .count();
+double Seconds(EngineClock::time_point time) {
+  return std::chrono::duration<double>(time.time_since_epoch()).count();
 }
 
 }  // namespace
@@ -100,10 +103,6 @@ Status ValidateEngineOptions(const EngineOptions& options) {
       !IsRegisteredBackend(static_cast<BackendKind>(options.backend))) {
     return Status::InvalidArgument(
         "EngineOptions::backend is not a registered backend");
-  }
-  if (options.cache_capacity > 0 && options.cache_shards < 1) {
-    return Status::InvalidArgument(
-        "EngineOptions::cache_shards must be >= 1 when the cache is enabled");
   }
   // !(x >= 0) also rejects NaN.
   if (!(options.slow_log_threshold_seconds >= 0.0)) {
@@ -166,7 +165,7 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Finish(
     std::unique_ptr<QueryEngine> engine) {
   if (engine->options_.cache_capacity > 0) {
     engine->cache_ = std::make_unique<ResultCache>(
-        engine->options_.cache_capacity, engine->options_.cache_shards);
+        engine->options_.cache_capacity, kCacheShards);
   }
   if (engine->options_.admission.any_enabled()) {
     engine->admission_ =
@@ -277,91 +276,63 @@ Status QueryEngine::ValidateRequest(const QueryRequest& request) const {
   return Status::OK();
 }
 
-QueryResponse QueryEngine::Shed(const QueryRequest& request,
-                                AdmissionDecision decision, bool submitted) {
-  ServiceMetrics& metrics = GetServiceMetrics();
-  metrics.requests.Add(1);
-  metrics.shed.Add(1);
-  const size_t cls = static_cast<size_t>(request.priority);
-  metrics.class_requests[cls]->Add(1);
-  metrics.class_shed[cls]->Add(1);
+std::optional<Result<QueryResponse>> QueryEngine::Admit(
+    const QueryRequest& request, EngineClock::time_point now,
+    bool submitted) {
+  if (Status status = ValidateRequest(request); !status.ok()) {
+    GetServiceMetrics().rejected.Add(1);
+    return Result<QueryResponse>(std::move(status));
+  }
+  if (admission_ == nullptr) return std::nullopt;
+  // A submitted request charges a backlog slot to its class on admission:
+  // a full class is refused *here*, before the pool queue grows, which is
+  // what makes the per-class bounds real.
+  const AdmissionDecision decision =
+      admission_->Admit(request.priority, HashClientId(request.client_id),
+                        Seconds(now), /*will_queue=*/submitted);
+  if (!IsShed(decision)) return std::nullopt;
   QueryResponse response;
   response.decision = decision;
   response.backend = request.backend.value_or(primary_kind_);
   response.status = Status::Unavailable(
       std::string("request shed by admission control: ") +
       AdmissionDecisionName(decision));
-  if (obs::IsEnabled() && obs::EventsEnabled()) {
-    obs::QueryEvent event;
-    event.start_ns = obs::EventLog::NowNs();
-    event.vertex = request.vertices.front();
-    event.k = request.k.value_or(options_.search.k);
-    event.group_size = static_cast<uint32_t>(request.vertices.size());
-    event.mode = request.is_group() ? obs::QueryEventMode::kGroup
-                                    : obs::QueryEventMode::kVertex;
-    event.backend = static_cast<uint8_t>(response.backend);
-    event.status = static_cast<uint8_t>(response.status.code());
-    event.flags = obs::kEventShed;
-    if (submitted) event.flags |= obs::kEventSubmitted;
-    event.priority = static_cast<uint8_t>(request.priority);
-    event.decision = static_cast<uint8_t>(decision);
-    event.client_hash = HashClientId(request.client_id);
-    response.query_id = obs::EventLog::Default().Record(event);
-    obs::RollingWindow::Default().Record(obs::RollingWindow::NowSecond(),
-                                         /*latency_ns=*/0, event.flags,
-                                         event.status);
-  }
-  return response;
+  Result<QueryResponse> result(std::move(response));
+  Account(request, result,
+          {.enqueued = now, .start = now, .end = now, .submitted = submitted});
+  return result;
 }
 
 Result<QueryResponse> QueryEngine::Query(const QueryRequest& request) {
-  const Status status = ValidateRequest(request);
-  if (!status.ok()) {
-    GetServiceMetrics().rejected.Add(1);
-    return status;
+  const EngineClock::time_point start = EngineClock::now();
+  if (std::optional<Result<QueryResponse>> refused =
+          Admit(request, start, /*submitted=*/false)) {
+    return *std::move(refused);
   }
-  if (admission_ != nullptr) {
-    const AdmissionDecision decision =
-        admission_->Admit(request.priority, HashClientId(request.client_id),
-                          SteadySeconds(), /*will_queue=*/false);
-    if (IsShed(decision)) return Shed(request, decision, /*submitted=*/false);
-  }
-  return Execute(request, /*queue_seconds=*/0.0, /*submitted=*/false);
+  return Run(request, start, start, /*submitted=*/false);
 }
 
 Result<std::future<Result<QueryResponse>>> QueryEngine::Submit(
     QueryRequest request) {
-  const Status status = ValidateRequest(request);
-  if (!status.ok()) {
-    GetServiceMetrics().rejected.Add(1);
-    return status;
-  }
-  if (admission_ != nullptr) {
-    // will_queue charges a backlog slot to the request's class on
-    // admission — a full class is refused *here*, before the pool queue
-    // grows, which is what makes the per-class bounds real.
-    const AdmissionDecision decision =
-        admission_->Admit(request.priority, HashClientId(request.client_id),
-                          SteadySeconds(), /*will_queue=*/true);
-    if (IsShed(decision)) {
-      std::promise<Result<QueryResponse>> resolved;
-      resolved.set_value(Shed(request, decision, /*submitted=*/true));
-      return resolved.get_future();
-    }
+  const EngineClock::time_point enqueued = EngineClock::now();
+  if (std::optional<Result<QueryResponse>> refused =
+          Admit(request, enqueued, /*submitted=*/true)) {
+    if (!refused->ok()) return refused->status();
+    std::promise<Result<QueryResponse>> resolved;
+    resolved.set_value(*std::move(refused));
+    return resolved.get_future();
   }
   auto promise = std::make_shared<std::promise<Result<QueryResponse>>>();
   std::future<Result<QueryResponse>> future = promise->get_future();
-  const EngineClock::time_point enqueued = EngineClock::now();
   queued_.fetch_add(1, std::memory_order_relaxed);
   pool_.Submit([this, promise, request = std::move(request), enqueued] {
     // Depth is "submitted but not yet started": drop out before the
     // load-shed check so a request never sheds on account of itself.
     queued_.fetch_sub(1, std::memory_order_relaxed);
     if (admission_ != nullptr) admission_->OnDequeue(request.priority);
-    const double queue_seconds =
-        std::chrono::duration<double>(EngineClock::now() - enqueued).count();
     try {
-      promise->set_value(Execute(request, queue_seconds, /*submitted=*/true));
+      promise->set_value(
+          Run(request, enqueued, EngineClock::now(), /*submitted=*/true));
     } catch (...) {
       promise->set_value(
           Status::Internal("query task failed with an exception"));
@@ -441,77 +412,29 @@ size_t QueryEngine::CacheSize() const {
   return cache_ != nullptr ? cache_->size() : 0;
 }
 
-Result<QueryResponse> QueryEngine::Execute(const QueryRequest& request,
-                                           double queue_seconds,
-                                           bool submitted) {
-  if (!obs::IsEnabled() || !obs::EventsEnabled()) {
-    return ExecuteStages(request, queue_seconds);
-  }
-
-  const uint64_t start_ns = obs::EventLog::NowNs();
-  Result<QueryResponse> result = ExecuteStages(request, queue_seconds);
-  const uint64_t duration_ns = obs::EventLog::NowNs() - start_ns;
-
-  obs::QueryEvent event;
-  event.start_ns = start_ns;
-  event.duration_ns = duration_ns;
-  event.queue_wait_ns = static_cast<uint64_t>(queue_seconds * 1e9);
-  event.vertex = request.vertices.front();
-  event.k = request.k.value_or(options_.search.k);
-  event.group_size = static_cast<uint32_t>(request.vertices.size());
-  event.mode = request.is_group() ? obs::QueryEventMode::kGroup
-                                  : obs::QueryEventMode::kVertex;
-  const BackendKind backend_kind = request.backend.value_or(primary_kind_);
-  event.backend = static_cast<uint8_t>(backend_kind);
-  if (submitted) event.flags |= obs::kEventSubmitted;
-  if (result.ok()) {
-    const QueryResponse& response = result.value();
-    event.status = static_cast<uint8_t>(response.status.code());
-    if (response.from_cache) {
-      // Walks and phases stay 0: nothing ran (the cached stats are the
-      // original query's).
-      event.flags |= obs::kEventCacheHit;
-    } else {
-      // What ran: zero when the deadline passed before the backend
-      // started, the members that ran for a group.
-      event.walks = response.stats.walks;
-      event.phases = response.stats.phases;
-    }
-    // Degraded means "ran, rough quality"; shed means "refused, never
-    // ran" and is recorded on the Shed() path, so the flags no longer
-    // travel together.
-    if (response.degraded) event.flags |= obs::kEventDegraded;
-    event.decision = static_cast<uint8_t>(response.decision);
-  } else {
-    event.status = static_cast<uint8_t>(result.status().code());
-  }
-  event.priority = static_cast<uint8_t>(request.priority);
-  event.client_hash = HashClientId(request.client_id);
-  const uint64_t query_id = obs::EventLog::Default().Record(event);
-  event.query_id = query_id;
-  if (result.ok()) result.value().query_id = query_id;
-  obs::RollingWindow::Default().Record(obs::RollingWindow::NowSecond(),
-                                       duration_ns, event.flags, event.status);
-  obs::SlowQueryLog& slow_log = obs::SlowQueryLog::Default();
-  if (slow_log.armed() && duration_ns >= slow_log.threshold_ns()) {
-    slow_log.Offer(obs::SlowQueryRecord{event, request.vertices});
-  }
+Result<QueryResponse> QueryEngine::Run(const QueryRequest& request,
+                                       EngineClock::time_point enqueued,
+                                       EngineClock::time_point start,
+                                       bool submitted) {
+  Lifecycle lifecycle{
+      .enqueued = enqueued, .start = start, .submitted = submitted};
+  Result<QueryResponse> result =
+      Execute(request, start, lifecycle.answered);
+  lifecycle.end = EngineClock::now();
+  Account(request, result, lifecycle);
   return result;
 }
 
-Result<QueryResponse> QueryEngine::ExecuteStages(const QueryRequest& request,
-                                                 double queue_seconds) {
+Result<QueryResponse> QueryEngine::Execute(const QueryRequest& request,
+                                           EngineClock::time_point start,
+                                           bool& answered) {
   // Names the engine stage for CHECK failures outside the backend's phases.
   obs::ScopedPhaseName phase("engine_query");
   // Chaos hook for the serving path (docs/ROBUSTNESS.md): `error` makes
   // this request fail, `check` simulates an invariant violation inside
   // the engine — the postmortem-dump scenario in tools/chaos_test.cmake.
   SIMRANK_FAULT_POINT("service.query.exec");
-  ServiceMetrics& metrics = GetServiceMetrics();
-  metrics.requests.Add(1);
-  WallTimer timer;
   QueryResponse response;
-  response.queue_seconds = queue_seconds;
 
   // Effective runtime options: per-request overrides over engine defaults.
   const uint32_t k = request.k.value_or(options_.search.k);
@@ -519,9 +442,6 @@ Result<QueryResponse> QueryEngine::ExecuteStages(const QueryRequest& request,
       request.threshold.value_or(options_.search.threshold);
   const BackendKind backend_kind = request.backend.value_or(primary_kind_);
   response.backend = backend_kind;
-  metrics.backend_requests[static_cast<size_t>(backend_kind)]->Add(1);
-  const size_t cls = static_cast<size_t>(request.priority);
-  metrics.class_requests[cls]->Add(1);
 
   // Stage 1: result cache. Keyed on the *effective* options — including
   // the backend identity, so a mixed-backend engine never serves one
@@ -534,39 +454,18 @@ Result<QueryResponse> QueryEngine::ExecuteStages(const QueryRequest& request,
     key.k = k;
     key.threshold_bits = std::bit_cast<uint64_t>(threshold);
     key.backend = static_cast<uint8_t>(backend_kind);
-    CacheEntry entry;
-    if (cache_->Lookup(key, &entry)) {
-      response.top = std::move(entry.top);
-      response.stats = entry.stats;
+    if (cache_->Lookup(key, &response.top)) {
       response.from_cache = true;
-      response.engine_seconds = timer.ElapsedSeconds();
-      metrics.latency_ns.RecordSeconds(response.engine_seconds);
-      metrics.class_latency_ns[cls]->RecordSeconds(response.engine_seconds);
-      if (admission_ != nullptr) {
-        admission_->OnComplete(
-            request.priority,
-            static_cast<uint64_t>(response.engine_seconds * 1e9),
-            SteadySeconds());
-      }
+      answered = true;
       return response;
     }
   }
 
   // Stage 2: deadline admission. A request whose budget was eaten by queue
   // wait is answered without running anything.
-  if (DeadlinePassed(request.deadline)) {
+  if (request.deadline.has_value() && start >= *request.deadline) {
     response.status = Status::DeadlineExceeded(
         "deadline expired before query execution started");
-    response.engine_seconds = timer.ElapsedSeconds();
-    metrics.deadline_exceeded.Add(1);
-    metrics.latency_ns.RecordSeconds(response.engine_seconds);
-    metrics.class_latency_ns[cls]->RecordSeconds(response.engine_seconds);
-    if (admission_ != nullptr) {
-      admission_->OnComplete(
-          request.priority,
-          static_cast<uint64_t>(response.engine_seconds * 1e9),
-          SteadySeconds());
-    }
     return response;
   }
 
@@ -587,11 +486,10 @@ Result<QueryResponse> QueryEngine::ExecuteStages(const QueryRequest& request,
     overrides.refine_walks = options_.search.estimate_walks;
     response.degraded = true;
     response.decision = AdmissionDecision::kDegraded;
-    metrics.degraded.Add(1);
-    metrics.class_degraded[cls]->Add(1);
   }
 
-  // Stage 4: run the backend.
+  // Stage 4: run the backend: at least one backend query runs.
+  answered = true;
   const SearcherBackend& backend = GetOrCreateBackend(backend_kind);
   if (request.is_group()) {
     RunGroup(request, backend, overrides, k, response);
@@ -600,21 +498,86 @@ Result<QueryResponse> QueryEngine::ExecuteStages(const QueryRequest& request,
     response.top = std::move(result.top);
     response.stats = result.stats;
   }
-
-  response.engine_seconds = timer.ElapsedSeconds();
-  if (!response.status.ok()) {
-    metrics.deadline_exceeded.Add(1);
-  } else if (use_cache && !response.degraded) {
-    cache_->Insert(key, CacheEntry{response.top, response.stats});
-  }
-  metrics.latency_ns.RecordSeconds(response.engine_seconds);
-  metrics.class_latency_ns[cls]->RecordSeconds(response.engine_seconds);
-  if (admission_ != nullptr) {
-    admission_->OnComplete(request.priority,
-                           static_cast<uint64_t>(response.engine_seconds * 1e9),
-                           SteadySeconds());
+  if (response.status.ok() && use_cache && !response.degraded) {
+    cache_->Insert(key, response.top);
   }
   return response;
+}
+
+void QueryEngine::Account(const QueryRequest& request,
+                          Result<QueryResponse>& result,
+                          const Lifecycle& lifecycle) {
+  ServiceMetrics& metrics = GetServiceMetrics();
+  const size_t cls = static_cast<size_t>(request.priority);
+  const uint64_t duration_ns = Nanos(lifecycle.end - lifecycle.start);
+  obs::QueryEvent event;
+  event.start_ns = Nanos(lifecycle.start.time_since_epoch());
+  event.duration_ns = duration_ns;
+  event.queue_wait_ns = Nanos(lifecycle.start - lifecycle.enqueued);
+  event.vertex = request.vertices.front();
+  event.k = request.k.value_or(options_.search.k);
+  event.group_size = static_cast<uint32_t>(request.vertices.size());
+  event.mode = request.is_group() ? obs::QueryEventMode::kGroup
+                                  : obs::QueryEventMode::kVertex;
+  event.backend =
+      static_cast<uint8_t>(request.backend.value_or(primary_kind_));
+  event.priority = static_cast<uint8_t>(request.priority);
+  event.client_hash = HashClientId(request.client_id);
+  if (lifecycle.submitted) event.flags |= obs::kEventSubmitted;
+  if (!result.ok()) {
+    // An injected fault: no service.* counter counts it.
+    event.status = static_cast<uint8_t>(result.status().code());
+  } else {
+    QueryResponse& response = result.value();
+    response.queue_seconds = static_cast<double>(event.queue_wait_ns) / 1e9;
+    response.engine_seconds = static_cast<double>(duration_ns) / 1e9;
+    event.status = static_cast<uint8_t>(response.status.code());
+    event.decision = static_cast<uint8_t>(response.decision);
+    metrics.requests.Add(1);
+    metrics.class_requests[cls]->Add(1);
+    if (IsShed(response.decision)) {
+      event.flags |= obs::kEventShed;
+      metrics.shed.Add(1);
+      metrics.class_shed[cls]->Add(1);
+    } else {
+      metrics.backend_requests[static_cast<size_t>(response.backend)]->Add(1);
+      // Every executed non-OK response is a deadline: the engine's only
+      // execution error.
+      if (!response.status.ok()) metrics.deadline_exceeded.Add(1);
+    }
+    if (response.degraded) {
+      event.flags |= obs::kEventDegraded;
+      metrics.degraded.Add(1);
+      metrics.class_degraded[cls]->Add(1);
+    }
+    if (response.from_cache) event.flags |= obs::kEventCacheHit;
+    // What ran: zero when nothing did (a cache hit carries no stats), the
+    // members that ran for a group.
+    event.walks = response.stats.walks;
+    event.phases = response.stats.phases;
+  }
+  if (lifecycle.answered) {
+    metrics.latency_ns.Record(duration_ns);
+    metrics.class_latency_ns[cls]->Record(duration_ns);
+    if (admission_ != nullptr) {
+      admission_->OnComplete(request.priority, duration_ns,
+                             Seconds(lifecycle.end));
+    }
+  }
+  event.query_id = obs::EventLog::Default().Record(event);
+  if (result.ok()) result.value().query_id = event.query_id;
+  obs::RollingWindow::Default().Record(
+      static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::seconds>(
+                                lifecycle.end.time_since_epoch())
+                                .count()),
+      lifecycle.answered ? std::optional<uint64_t>(duration_ns)
+                         : std::nullopt,
+      event.flags, event.status);
+  obs::SlowQueryLog& slow_log = obs::SlowQueryLog::Default();
+  if (lifecycle.answered && slow_log.armed() &&
+      duration_ns >= slow_log.threshold_ns()) {
+    slow_log.Offer(obs::SlowQueryRecord{event, request.vertices});
+  }
 }
 
 void QueryEngine::RunGroup(const QueryRequest& request,
@@ -623,11 +586,13 @@ void QueryEngine::RunGroup(const QueryRequest& request,
                            uint32_t effective_k, QueryResponse& response) {
   // Score-sum voting over the members' rankings, members excluded, with a
   // deadline check between members: on expiry the loop stops and the
-  // ranking/stats of the members already run are the partial answer.
+  // ranking/stats of the members already run are the partial answer. The
+  // first member runs on Execute's check at the start.
   std::vector<ScoredVertex> entries;
   size_t completed = 0;
   for (Vertex member : request.vertices) {
-    if (DeadlinePassed(request.deadline)) {
+    if (completed > 0 && request.deadline.has_value() &&
+        EngineClock::now() >= *request.deadline) {
       response.status = Status::DeadlineExceeded(
           "deadline expired after " + std::to_string(completed) + " of " +
           std::to_string(request.vertices.size()) + " group members");

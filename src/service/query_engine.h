@@ -157,8 +157,9 @@ struct QueryResponse {
   /// Best-first ranking (at most k entries, scores > 0 and >= threshold).
   std::vector<ScoredVertex> top;
   /// Per-query instrumentation, phase timings included; for a group, the
-  /// sum over the members that ran; for cache hits, the stats of the
-  /// query that originally computed the entry.
+  /// sum over the members that ran. Zero when nothing ran: cache hits,
+  /// shed requests and requests whose deadline passed before they
+  /// started.
   QueryStats stats;
   /// True when the ranking was served from the result cache.
   bool from_cache = false;
@@ -171,13 +172,15 @@ struct QueryResponse {
   /// accepted but the engine refused to run it (retryable).
   AdmissionDecision decision = AdmissionDecision::kAdmitted;
   /// Time spent queued before a worker picked the request up (Submit /
-  /// SubmitBatch paths; 0 for synchronous Query calls).
+  /// SubmitBatch paths; 0 for synchronous Query calls and shed requests).
+  /// Exactly the event's queue_wait_ns, in seconds.
   double queue_seconds = 0.0;
-  /// End-to-end engine time for this request, excluding queue wait.
+  /// End-to-end engine time for this request, excluding queue wait (0
+  /// for shed requests). Exactly the event's duration_ns, in seconds.
   double engine_seconds = 0.0;
   /// Flight-recorder sequence id of this request's QueryEvent (0 when
-  /// event recording is off) — the join key between a response and its
-  /// record in the `--events-json` / postmortem dumps.
+  /// obs is disabled) — the join key between a response and its record
+  /// in the `--events-json` / postmortem dumps.
   uint64_t query_id = 0;
   /// Backend that computed the ranking — for cache hits, the backend the
   /// cached entry was computed by (the key includes it, so they agree).
@@ -200,9 +203,8 @@ struct EngineOptions {
   /// hardware_concurrency.
   uint32_t num_threads = 0;
 
-  /// Result cache; capacity 0 disables it.
+  /// Result cache of rankings; capacity 0 disables it.
   size_t cache_capacity = 4096;
-  uint32_t cache_shards = 8;
 
   /// Admission control (docs/SERVING.md): per-class bounded backlogs,
   /// per-client token buckets, and the SLO-feedback degradation curve.
@@ -223,8 +225,8 @@ struct EngineOptions {
   std::vector<obs::SloSpec> slos;
 };
 
-/// Validates the serving knobs of `options` (cache sharding, slow-log
-/// threshold, SLO specs). Engine factories call this; exposed so CLIs can
+/// Validates the serving knobs of `options` (backend, slow-log threshold,
+/// admission, SLO specs). Engine factories call this; exposed so CLIs can
 /// validate user input before building anything.
 Status ValidateEngineOptions(const EngineOptions& options);
 
@@ -332,14 +334,47 @@ class QueryEngine {
       std::unique_ptr<QueryEngine> engine);
 
   Status ValidateRequest(const QueryRequest& request) const;
-  /// Builds (and event-records) the Unavailable response of a shed
-  /// request — the engine's refusal path; nothing executes.
-  QueryResponse Shed(const QueryRequest& request, AdmissionDecision decision,
-                     bool submitted);
+
+  /// One request's clock reads — enqueue (Submit only), start (the
+  /// dequeue, when it queued) and end, everything timed about it derives
+  /// from them — and what became of it.
+  struct Lifecycle {
+    EngineClock::time_point enqueued{};  ///< == start unless it queued
+    EngineClock::time_point start{};
+    EngineClock::time_point end{};  ///< == start for a shed request
+    bool submitted = false;
+    /// A cache hit, or at least one backend query ran: the request gives
+    /// a latency sample. Shed requests, requests that expired before they
+    /// started and injected faults do not.
+    bool answered = false;
+  };
+
+  /// The admission gate Query and Submit share, at the request's first
+  /// clock read `now`. Returns the final Result of a request that does
+  /// not run: non-OK for an invalid one (counted as service.rejected),
+  /// the accounted Unavailable response for one admission control sheds.
+  /// Returns nullopt to run the request; a submitted one is then charged
+  /// a backlog slot.
+  std::optional<Result<QueryResponse>> Admit(const QueryRequest& request,
+                                             EngineClock::time_point now,
+                                             bool submitted);
+  /// Executes an admitted request, reads the clock at its end and
+  /// accounts for it.
+  Result<QueryResponse> Run(const QueryRequest& request,
+                            EngineClock::time_point enqueued,
+                            EngineClock::time_point start, bool submitted);
+  /// The stages of an admitted request: cache, deadline (against
+  /// `start`), degradation, backend. Sets `answered`.
   Result<QueryResponse> Execute(const QueryRequest& request,
-                                double queue_seconds, bool submitted);
-  Result<QueryResponse> ExecuteStages(const QueryRequest& request,
-                                      double queue_seconds);
+                                EngineClock::time_point start,
+                                bool& answered);
+  /// The one accounting step, once per accepted request, shed ones
+  /// included: sets the response's timings and query id, and records the
+  /// service.* counters, the latency histograms, the admission feedback,
+  /// the event, the rolling window and the slow log. Only an answered
+  /// request gives a latency sample.
+  void Account(const QueryRequest& request, Result<QueryResponse>& result,
+               const Lifecycle& lifecycle);
   void RunGroup(const QueryRequest& request, const SearcherBackend& backend,
                 const QueryOverrides& overrides, uint32_t effective_k,
                 QueryResponse& response);

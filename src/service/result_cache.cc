@@ -70,7 +70,8 @@ ResultCache::Shard& ResultCache::ShardFor(const CacheKey& key) {
   return *shards_[CacheKeyHash()(key) % shards_.size()];
 }
 
-bool ResultCache::Lookup(const CacheKey& key, CacheEntry* out) {
+bool ResultCache::Lookup(const CacheKey& key,
+                         std::vector<ScoredVertex>* out) {
   CacheMetrics& metrics = GetCacheMetrics();
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mutex);
@@ -85,14 +86,14 @@ bool ResultCache::Lookup(const CacheKey& key, CacheEntry* out) {
   return true;
 }
 
-void ResultCache::Insert(const CacheKey& key, CacheEntry entry) {
+void ResultCache::Insert(const CacheKey& key, std::vector<ScoredVertex> top) {
   if (capacity_ == 0) return;
   CacheMetrics& metrics = GetCacheMetrics();
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mutex);
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
-    it->second->second = std::move(entry);
+    it->second->second = std::move(top);
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
@@ -101,7 +102,7 @@ void ResultCache::Insert(const CacheKey& key, CacheEntry entry) {
     shard.lru.pop_back();
     metrics.evictions.Add(1);
   }
-  shard.lru.emplace_front(key, std::move(entry));
+  shard.lru.emplace_front(key, std::move(top));
   shard.index.emplace(key, shard.lru.begin());
   metrics.insertions.Add(1);
 }

@@ -1,7 +1,7 @@
 #ifndef SIMRANK_SERVICE_RESULT_CACHE_H_
 #define SIMRANK_SERVICE_RESULT_CACHE_H_
 
-// Sharded LRU cache of query results for the serving engine.
+// Sharded LRU cache of query rankings for the serving engine.
 //
 // Keys are the full semantic identity of a query: the query vertices plus
 // the *effective* runtime options (k, threshold) after per-request
@@ -46,13 +46,6 @@ struct CacheKeyHash {
   size_t operator()(const CacheKey& key) const;
 };
 
-/// Cached payload: the ranking plus the stats of the query that computed
-/// it (served back so callers can still see what the answer cost).
-struct CacheEntry {
-  std::vector<ScoredVertex> top;
-  QueryStats stats;
-};
-
 class ResultCache {
  public:
   /// `capacity` is the total entry budget, split evenly across
@@ -63,13 +56,13 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// On hit, copies the entry into `*out`, promotes the key to
+  /// On hit, copies the cached ranking into `*out`, promotes the key to
   /// most-recently-used and returns true. Thread-safe.
-  bool Lookup(const CacheKey& key, CacheEntry* out);
+  bool Lookup(const CacheKey& key, std::vector<ScoredVertex>* out);
 
-  /// Inserts or refreshes `key`, evicting the shard's least-recently-used
-  /// entry when the shard is full. Thread-safe.
-  void Insert(const CacheKey& key, CacheEntry entry);
+  /// Inserts or refreshes `key`'s ranking, evicting the shard's
+  /// least-recently-used entry when the shard is full. Thread-safe.
+  void Insert(const CacheKey& key, std::vector<ScoredVertex> top);
 
   /// Drops every entry (the invalidation path for graph/index swaps).
   void Clear();
@@ -79,13 +72,15 @@ class ResultCache {
   size_t capacity() const { return capacity_; }
 
  private:
+  /// A key and its ranking. Only the ranking is cached: a hit runs
+  /// nothing, so it reports no stats.
+  using Entry = std::pair<CacheKey, std::vector<ScoredVertex>>;
+
   struct Shard {
     mutable Mutex mutex;
     /// Front = most recently used.
-    std::list<std::pair<CacheKey, CacheEntry>> lru SIMRANK_GUARDED_BY(mutex);
-    std::unordered_map<CacheKey,
-                       std::list<std::pair<CacheKey, CacheEntry>>::iterator,
-                       CacheKeyHash>
+    std::list<Entry> lru SIMRANK_GUARDED_BY(mutex);
+    std::unordered_map<CacheKey, std::list<Entry>::iterator, CacheKeyHash>
         index SIMRANK_GUARDED_BY(mutex);
   };
 

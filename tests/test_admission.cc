@@ -228,7 +228,6 @@ class FeedbackTest : public ::testing::Test {
     options.target_p99_seconds = 0.001;  // 1ms
     options.breach_steps = 1;
     options.recover_steps = 2;
-    options.min_window_samples = 4;
     return options;
   }
 
@@ -304,7 +303,7 @@ TEST_F(FeedbackTest, MixedBreachResetsTheRecoveryStreak) {
 
 TEST_F(FeedbackTest, ThinSecondsAreIgnoredByTheBreachDetector) {
   AdmissionController controller(FeedbackOptions());
-  // 2 samples < min_window_samples (4): slow but not a breach signal.
+  // 2 samples < kMinWindowSamples (8): slow but not a breach signal.
   CompleteSecond(controller, 0.5, 2, 0.010);
   CompleteSecond(controller, 1.5, 2, 0.010);
   CompleteSecond(controller, 2.5, 2, 0.010);

@@ -11,7 +11,10 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,7 +50,7 @@ using testjson::ParseOrFail;
 QueryEvent MakeEvent(uint64_t duration_ns, uint8_t flags = 0,
                      uint8_t status = 0) {
   QueryEvent event;
-  event.start_ns = EventLog::NowNs();
+  event.start_ns = 1'000'000'000;
   event.duration_ns = duration_ns;
   event.vertex = 7;
   event.k = 10;
@@ -98,10 +101,6 @@ TEST(EventLogTest, CapacityIsClampedToShardCount) {
 
 TEST(EventLogTest, KillSwitchesDisableRecording) {
   EventLog log(16, 2);
-
-  obs::SetEventsEnabled(false);
-  EXPECT_EQ(log.Record(MakeEvent(1)), 0u);
-  obs::SetEventsEnabled(true);
 
   obs::SetEnabled(false);
   EXPECT_EQ(log.Record(MakeEvent(1)), 0u);
@@ -252,9 +251,9 @@ TEST(RollingWindowTest, RateSlosAndVacuousOk) {
 
 TEST(RollingWindowTest, KillSwitchDisablesRecording) {
   RollingWindow window(4, 1);
-  obs::SetEventsEnabled(false);
+  obs::SetEnabled(false);
   window.Record(400, 1000, 0, 0);
-  obs::SetEventsEnabled(true);
+  obs::SetEnabled(true);
   EXPECT_EQ(window.Snapshot(400).count, 0u);
 }
 
@@ -320,10 +319,10 @@ TEST(SlowQueryLogTest, DisarmedAndKillSwitchedLogRejects) {
 
   log.Configure(1000, 4);
   EXPECT_TRUE(log.armed());
-  obs::SetEventsEnabled(false);
+  obs::SetEnabled(false);
   EXPECT_FALSE(log.armed());
   EXPECT_FALSE(log.Offer(MakeSlowRecord(1'000'000)));
-  obs::SetEventsEnabled(true);
+  obs::SetEnabled(true);
   EXPECT_TRUE(log.Offer(MakeSlowRecord(1'000'000)));
   EXPECT_EQ(log.size(), 1u);
   log.Clear();
@@ -438,6 +437,10 @@ TEST_F(EngineEventsTest, QueryRecordsVertexEvent) {
   EXPECT_GT(event.walks, 0u);
   EXPECT_EQ(event.walks, response->stats.walks);
   EXPECT_GT(event.duration_ns, 0u);
+  // One start and one end read time the request, so the event and the
+  // response report the same nanoseconds.
+  EXPECT_EQ(static_cast<double>(event.duration_ns) / 1e9,
+            response->engine_seconds);
   EXPECT_EQ(event.queue_wait_ns, 0u);  // synchronous path never queued
   EXPECT_EQ(event.flags & obs::kEventSubmitted, 0);
   EXPECT_EQ(event.flags & obs::kEventCacheHit, 0);
@@ -470,8 +473,9 @@ TEST_F(EngineEventsTest, CacheHitEventHasZeroWalks) {
   EXPECT_NE(hit.flags & obs::kEventCacheHit, 0);
   EXPECT_EQ(hit.walks, 0u);
   EXPECT_EQ(hit.phases.Sum(), 0u);
-  // The response still carries the cached query's stats.
-  EXPECT_EQ(second->stats.walks, first->stats.walks);
+  // The response agrees: the cache keeps the ranking alone.
+  EXPECT_GT(first->stats.walks, 0u);
+  EXPECT_EQ(second->stats.walks, 0u);
 }
 
 TEST_F(EngineEventsTest, ExpiredVertexRequestRecordsZeroWalks) {
@@ -591,11 +595,10 @@ TEST_F(EngineEventsTest, SubmittedEventCarriesQueueWait) {
   ASSERT_FALSE(events.empty());
   const QueryEvent& event = events.back();
   EXPECT_NE(event.flags & obs::kEventSubmitted, 0);
-  // queue_wait_ns mirrors response.queue_seconds (both from the pool's
-  // enqueue -> start clock).
-  EXPECT_NEAR(static_cast<double>(event.queue_wait_ns),
-              response->queue_seconds * 1e9,
-              1e6 + response->queue_seconds * 1e9 * 0.5);
+  // queue_wait_ns and response.queue_seconds are the same enqueue ->
+  // start clock reads.
+  EXPECT_EQ(static_cast<double>(event.queue_wait_ns) / 1e9,
+            response->queue_seconds);
 }
 
 TEST_F(EngineEventsTest, GroupEventRecordsGroupSize) {
@@ -620,9 +623,9 @@ TEST_F(EngineEventsTest, RecordEventsOffDisablesRecording) {
   auto engine = service::QueryEngine::Create(graph, SmallEngineOptions());
   ASSERT_TRUE(engine.ok());
 
-  obs::SetEventsEnabled(false);
+  obs::SetEnabled(false);
   auto response = (*engine)->Query(service::QueryRequest::ForVertex(1));
-  obs::SetEventsEnabled(true);
+  obs::SetEnabled(true);
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->query_id, 0u);
   EXPECT_TRUE(EventLog::Default().Snapshot().empty());
@@ -682,6 +685,410 @@ TEST_F(EngineEventsTest, InvalidSloSpecIsRejected) {
   options.slos.clear();
   options.slow_log_threshold_seconds = -1.0;
   EXPECT_FALSE(service::QueryEngine::Create(graph, options).ok());
+}
+
+// --- Request lifecycle: one accounting step per request -------------------
+
+// The process-wide sinks one request is accounted into, read before and
+// after it.
+struct Accounting {
+  uint64_t requests = 0, shed = 0, deadline_exceeded = 0, degraded = 0;
+  uint64_t class_requests = 0, class_shed = 0, class_degraded = 0;
+  uint64_t backend_requests = 0, latency_samples = 0;
+  uint64_t class_latency_samples = 0, events = 0;
+
+  static Accounting Read(service::PriorityClass priority) {
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+    const std::string cls = std::string("service.class.") +
+                            service::PriorityClassName(priority) + ".";
+    Accounting a;
+    a.requests = registry.GetCounter("service.requests").Value();
+    a.shed = registry.GetCounter("service.shed").Value();
+    a.deadline_exceeded =
+        registry.GetCounter("service.deadline_exceeded").Value();
+    a.degraded = registry.GetCounter("service.degraded").Value();
+    a.class_requests = registry.GetCounter(cls + "requests").Value();
+    a.class_shed = registry.GetCounter(cls + "shed").Value();
+    a.class_degraded = registry.GetCounter(cls + "degraded").Value();
+    a.backend_requests =
+        registry.GetCounter("service.backend.mc.requests").Value();
+    a.latency_samples = registry.GetHistogram("service.latency_ns").Count();
+    a.class_latency_samples =
+        registry.GetHistogram(cls + "latency_ns").Count();
+    a.events = EventLog::Default().TotalRecorded();
+    return a;
+  }
+};
+
+TEST_F(EngineEventsTest, ShedRequestsGiveNoLatencySample) {
+  DirectedGraph graph = testing::SmallRandomGraph(60, 917, 40);
+  service::EngineOptions options = SmallEngineOptions();
+  options.admission.client_rate = 1.0;
+  options.admission.client_burst = 1.0;
+  auto engine = service::QueryEngine::Create(graph, options);
+  ASSERT_TRUE(engine.ok());
+
+  // One answered request, then three the client's empty bucket sheds.
+  const Accounting before =
+      Accounting::Read(service::PriorityClass::kInteractive);
+  auto answered = (*engine)->Query(
+      service::QueryRequest::ForVertex(3).WithClientId("greedy"));
+  ASSERT_TRUE(answered.ok());
+  ASSERT_TRUE(answered->status.ok());
+  for (Vertex v = 4; v < 7; ++v) {
+    auto shed = (*engine)->Query(
+        service::QueryRequest::ForVertex(v).WithClientId("greedy"));
+    ASSERT_TRUE(shed.ok());
+    ASSERT_EQ(shed->decision, service::AdmissionDecision::kShedRateLimited);
+  }
+  const Accounting after =
+      Accounting::Read(service::PriorityClass::kInteractive);
+  EXPECT_EQ(after.requests - before.requests, 4u);
+  EXPECT_EQ(after.shed - before.shed, 3u);
+  EXPECT_EQ(after.latency_samples - before.latency_samples, 1u);
+
+  // The window counts the shed requests but ranks latency over the one
+  // answered request: its p50 is that request's latency, not 0.
+  const uint64_t duration_ns = EventOf(answered->query_id).duration_ns;
+  const WindowSnapshot window =
+      RollingWindow::Default().Snapshot(RollingWindow::NowSecond());
+  EXPECT_EQ(window.count, 4u);
+  EXPECT_EQ(window.shed, 3u);
+  EXPECT_EQ(window.latency_sum_ns, duration_ns);
+  EXPECT_EQ(window.latency_p50_ns,
+            obs::Histogram::BucketRepresentative(
+                obs::Histogram::BucketIndex(duration_ns)));
+  EXPECT_GT(window.latency_p50_ns, 0.0);
+}
+
+TEST_F(EngineEventsTest, ExpiredRequestsGiveNoLatencySample) {
+  DirectedGraph graph = testing::SmallRandomGraph(60, 918, 40);
+  auto engine = service::QueryEngine::Create(graph, SmallEngineOptions());
+  ASSERT_TRUE(engine.ok());
+
+  const Accounting before =
+      Accounting::Read(service::PriorityClass::kInteractive);
+  service::QueryRequest request = service::QueryRequest::ForVertex(3);
+  request.deadline = service::EngineClock::now() - std::chrono::seconds(1);
+  auto expired = (*engine)->Query(request);
+  ASSERT_TRUE(expired.ok());
+  ASSERT_EQ(expired->status.code(), StatusCode::kDeadlineExceeded);
+  const Accounting after =
+      Accounting::Read(service::PriorityClass::kInteractive);
+
+  // Counted, as a deadline, but its few hundred nanoseconds of engine
+  // time are no latency sample.
+  EXPECT_EQ(after.requests - before.requests, 1u);
+  EXPECT_EQ(after.deadline_exceeded - before.deadline_exceeded, 1u);
+  EXPECT_EQ(after.latency_samples - before.latency_samples, 0u);
+  EXPECT_EQ(after.class_latency_samples - before.class_latency_samples, 0u);
+  const WindowSnapshot window =
+      RollingWindow::Default().Snapshot(RollingWindow::NowSecond());
+  EXPECT_EQ(window.count, 1u);
+  EXPECT_EQ(window.errors, 1u);
+  EXPECT_EQ(window.latency_sum_ns, 0u);
+  EXPECT_EQ(window.latency_p50_ns, 0.0);
+}
+
+// An mc-kind backend (so admission control can degrade it) that answers
+// every vertex with one fixed entry. Its queries can be held until the
+// test releases them, or kept running until a given time.
+class ScriptedBackend : public SearcherBackend {
+ public:
+  explicit ScriptedBackend(const DirectedGraph& graph) : graph_(graph) {}
+
+  // Call before the first request: queries then block until Release().
+  void Hold() { released_ = release_.get_future().share(); }
+  void Release() { release_.set_value(); }
+  void WaitForQueries(int n) const {
+    while (started_.load() < n) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  // Call before the first request: each query runs until `time`.
+  void RunUntil(service::EngineClock::time_point time) { run_until_ = time; }
+
+  BackendKind kind() const override { return BackendKind::kMonteCarlo; }
+  void Build(ThreadPool*) override {}
+  bool built() const override { return true; }
+  double preprocess_seconds() const override { return 0.0; }
+  uint64_t MemoryBytes() const override { return 0; }
+  QueryResult Query(Vertex query,
+                    const QueryOverrides& overrides) const override {
+    started_.fetch_add(1);
+    if (released_.valid()) released_.wait();
+    if (run_until_.has_value()) std::this_thread::sleep_until(*run_until_);
+    QueryResult result;
+    result.top = {{(query + 1) % graph_.NumVertices(), 0.5}};
+    result.stats.walks = overrides.refine_walks.value_or(options_.refine_walks);
+    return result;
+  }
+  const DirectedGraph& graph() const override { return graph_; }
+  const SearchOptions& options() const override { return options_; }
+
+ private:
+  const DirectedGraph& graph_;
+  SearchOptions options_;
+  std::promise<void> release_;
+  std::shared_future<void> released_;
+  std::optional<service::EngineClock::time_point> run_until_;
+  mutable std::atomic<int> started_{0};
+};
+
+// Walks the engine's admission controller to kShedBatch: three breached
+// seconds of interactive completions on a synthetic clock (the controller
+// takes time explicitly; seconds 0-3 lie before any engine clock read).
+void DriveToShedBatch(const service::AdmissionController* controller) {
+  ASSERT_NE(controller, nullptr);
+  auto* driven = const_cast<service::AdmissionController*>(controller);
+  for (double second : {0.5, 1.5, 2.5, 3.5}) {
+    for (uint64_t i = 0; i < service::kMinWindowSamples; ++i) {
+      driven->OnComplete(service::PriorityClass::kInteractive,
+                         1'000'000'000, second);
+    }
+  }
+  ASSERT_EQ(controller->level(), service::DegradationLevel::kShedBatch);
+}
+
+// One row: the engine's admission options, a run that measures exactly
+// one request between start() and stop(), and what that request must
+// have been accounted as.
+struct LifecycleCase {
+  const char* name;
+  service::AdmissionOptions admission{};
+  service::PriorityClass priority = service::PriorityClass::kInteractive;
+  std::function<Result<service::QueryResponse>(
+      service::QueryEngine&, ScriptedBackend&, const std::function<void()>&,
+      const std::function<void()>&)>
+      run;
+  service::AdmissionDecision decision = service::AdmissionDecision::kAdmitted;
+  uint8_t flags = 0;
+  StatusCode status = StatusCode::kOk;
+  bool answered = true;
+  bool shed = false;
+  bool deadline_exceeded = false;
+  bool degraded = false;
+};
+
+TEST_F(EngineEventsTest, EachRequestIsAccountedOnce) {
+  using service::PriorityClass;
+  using service::QueryEngine;
+  using service::QueryRequest;
+  using Run = std::function<void()>;
+  DirectedGraph graph = testing::SmallRandomGraph(60, 919, 40);
+  service::AdmissionOptions rate_limited;
+  rate_limited.client_rate = 1.0;
+  rate_limited.client_burst = 1.0;
+  service::AdmissionOptions queue_limited;
+  queue_limited.interactive_queue_limit = 1;
+  service::AdmissionOptions feedback;
+  feedback.target_p99_seconds = 0.001;
+  feedback.breach_steps = 1;
+
+  const std::vector<LifecycleCase> cases = {
+      {.name = "vertex",
+       .run = [](QueryEngine& engine, ScriptedBackend&, const Run& start,
+                 const Run& stop) {
+         start();
+         auto result = engine.Query(QueryRequest::ForVertex(3));
+         stop();
+         return result;
+       }},
+      {.name = "group",
+       .run = [](QueryEngine& engine, ScriptedBackend&, const Run& start,
+                 const Run& stop) {
+         start();
+         auto result = engine.Query(QueryRequest::ForGroup({3, 5, 7}));
+         stop();
+         return result;
+       }},
+      {.name = "submitted",
+       .run = [](QueryEngine& engine, ScriptedBackend&, const Run& start,
+                 const Run& stop) {
+         start();
+         auto result = engine.Submit(QueryRequest::ForVertex(3))->get();
+         stop();
+         return result;
+       },
+       .flags = obs::kEventSubmitted},
+      {.name = "cache_hit",
+       .run = [](QueryEngine& engine, ScriptedBackend&, const Run& start,
+                 const Run& stop) {
+         EXPECT_TRUE(engine.Query(QueryRequest::ForVertex(4)).ok());
+         start();
+         auto result = engine.Query(QueryRequest::ForVertex(4));
+         stop();
+         return result;
+       },
+       .flags = obs::kEventCacheHit},
+      {.name = "shed_rate_limited",
+       .admission = rate_limited,
+       .run = [](QueryEngine& engine, ScriptedBackend&, const Run& start,
+                 const Run& stop) {
+         EXPECT_TRUE(
+             engine.Query(QueryRequest::ForVertex(1).WithClientId("c")).ok());
+         start();
+         auto result =
+             engine.Query(QueryRequest::ForVertex(2).WithClientId("c"));
+         stop();
+         return result;
+       },
+       .decision = service::AdmissionDecision::kShedRateLimited,
+       .flags = obs::kEventShed,
+       .status = StatusCode::kUnavailable,
+       .answered = false,
+       .shed = true},
+      {.name = "shed_queue_full",
+       .admission = queue_limited,
+       .run = [](QueryEngine& engine, ScriptedBackend& backend,
+                 const Run& start, const Run& stop) {
+         // The worker holds the first request; the second fills the
+         // one-deep interactive backlog.
+         backend.Hold();
+         auto running = engine.Submit(QueryRequest::ForVertex(1));
+         backend.WaitForQueries(1);
+         auto queued = engine.Submit(QueryRequest::ForVertex(2));
+         start();
+         auto result = engine.Submit(QueryRequest::ForVertex(3))->get();
+         stop();
+         backend.Release();
+         EXPECT_TRUE(running->get().ok());
+         EXPECT_TRUE(queued->get().ok());
+         return result;
+       },
+       .decision = service::AdmissionDecision::kShedQueueFull,
+       .flags = obs::kEventShed | obs::kEventSubmitted,
+       .status = StatusCode::kUnavailable,
+       .answered = false,
+       .shed = true},
+      {.name = "shed_overload",
+       .admission = feedback,
+       .priority = PriorityClass::kBatch,
+       .run = [](QueryEngine& engine, ScriptedBackend&, const Run& start,
+                 const Run& stop) {
+         DriveToShedBatch(engine.admission());
+         start();
+         auto result = engine.Query(
+             QueryRequest::ForVertex(3).WithPriority(PriorityClass::kBatch));
+         stop();
+         return result;
+       },
+       .decision = service::AdmissionDecision::kShedOverload,
+       .flags = obs::kEventShed,
+       .status = StatusCode::kUnavailable,
+       .answered = false,
+       .shed = true},
+      {.name = "expired_before_start",
+       .run = [](QueryEngine& engine, ScriptedBackend&, const Run& start,
+                 const Run& stop) {
+         QueryRequest request = QueryRequest::ForVertex(3);
+         request.deadline =
+             service::EngineClock::now() - std::chrono::seconds(1);
+         start();
+         auto result = engine.Query(request);
+         stop();
+         return result;
+       },
+       .status = StatusCode::kDeadlineExceeded,
+       .answered = false,
+       .deadline_exceeded = true},
+      {.name = "expired_mid_group",
+       .run = [](QueryEngine& engine, ScriptedBackend& backend,
+                 const Run& start, const Run& stop) {
+         // The first member runs past the deadline, so the second never
+         // starts.
+         QueryRequest request = QueryRequest::ForGroup({3, 5, 7});
+         request.deadline =
+             service::EngineClock::now() + std::chrono::milliseconds(100);
+         backend.RunUntil(*request.deadline + std::chrono::milliseconds(1));
+         start();
+         auto result = engine.Query(request);
+         stop();
+         return result;
+       },
+       .status = StatusCode::kDeadlineExceeded,
+       .deadline_exceeded = true},
+      {.name = "degraded",
+       .admission = feedback,
+       .run = [](QueryEngine& engine, ScriptedBackend&, const Run& start,
+                 const Run& stop) {
+         // At kShedBatch interactive requests run degraded.
+         DriveToShedBatch(engine.admission());
+         start();
+         auto result = engine.Query(QueryRequest::ForVertex(3));
+         stop();
+         return result;
+       },
+       .decision = service::AdmissionDecision::kDegraded,
+       .flags = obs::kEventDegraded,
+       .degraded = true},
+  };
+
+  for (const LifecycleCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    service::EngineOptions options;
+    options.num_threads = 1;
+    options.admission = c.admission;
+    auto backend = std::make_unique<ScriptedBackend>(graph);
+    ScriptedBackend& scripted = *backend;
+    auto engine = QueryEngine::AdoptBackend(std::move(backend), options);
+    ASSERT_TRUE(engine.ok()) << engine.status().message();
+
+    Accounting before, after;
+    WindowSnapshot window;
+    const Run start = [&] {
+      RollingWindow::Default().Clear();
+      before = Accounting::Read(c.priority);
+    };
+    const Run stop = [&] {
+      after = Accounting::Read(c.priority);
+      window = RollingWindow::Default().Snapshot(RollingWindow::NowSecond());
+    };
+    const Result<service::QueryResponse> result =
+        c.run(**engine, scripted, start, stop);
+    ASSERT_TRUE(result.ok()) << result.status().message();
+    const service::QueryResponse& response = result.value();
+    EXPECT_EQ(response.decision, c.decision);
+    EXPECT_EQ(response.status.code(), c.status);
+
+    // Exactly one event, carrying the response's timings exactly.
+    EXPECT_EQ(after.events - before.events, 1u);
+    const QueryEvent event = EventOf(response.query_id);
+    EXPECT_EQ(event.flags, c.flags);
+    EXPECT_EQ(event.decision, static_cast<uint8_t>(c.decision));
+    EXPECT_EQ(event.status, static_cast<uint8_t>(c.status));
+    EXPECT_EQ(static_cast<double>(event.duration_ns) / 1e9,
+              response.engine_seconds);
+    EXPECT_EQ(static_cast<double>(event.queue_wait_ns) / 1e9,
+              response.queue_seconds);
+
+    // The service.* counters.
+    EXPECT_EQ(after.requests - before.requests, 1u);
+    EXPECT_EQ(after.class_requests - before.class_requests, 1u);
+    EXPECT_EQ(after.shed - before.shed, c.shed ? 1u : 0u);
+    EXPECT_EQ(after.class_shed - before.class_shed, c.shed ? 1u : 0u);
+    EXPECT_EQ(after.backend_requests - before.backend_requests,
+              c.shed ? 0u : 1u);
+    EXPECT_EQ(after.deadline_exceeded - before.deadline_exceeded,
+              c.deadline_exceeded ? 1u : 0u);
+    EXPECT_EQ(after.degraded - before.degraded, c.degraded ? 1u : 0u);
+    EXPECT_EQ(after.class_degraded - before.class_degraded,
+              c.degraded ? 1u : 0u);
+
+    // Only an answered request gives latency samples.
+    const uint64_t samples = c.answered ? 1 : 0;
+    EXPECT_EQ(after.latency_samples - before.latency_samples, samples);
+    EXPECT_EQ(after.class_latency_samples - before.class_latency_samples,
+              samples);
+
+    // Exactly one window record.
+    EXPECT_EQ(window.count, 1u);
+    EXPECT_EQ(window.shed, c.shed ? 1u : 0u);
+    EXPECT_EQ(window.degraded, c.degraded ? 1u : 0u);
+    EXPECT_EQ(window.cache_hits, (c.flags & obs::kEventCacheHit) ? 1u : 0u);
+    EXPECT_EQ(window.errors, c.status == StatusCode::kOk ? 0u : 1u);
+    EXPECT_EQ(window.latency_sum_ns, c.answered ? event.duration_ns : 0u);
+  }
 }
 
 // --- simrank-events-v2 JSON -------------------------------------------------

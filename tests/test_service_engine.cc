@@ -83,17 +83,6 @@ TEST_F(ServiceEngineTest, CreateRejectsInvalidSearchOptions) {
   EXPECT_FALSE(QueryEngine::Create(graph_, options).ok());
 }
 
-TEST_F(ServiceEngineTest, CreateRejectsZeroCacheShards) {
-  EngineOptions options = BaseEngine();
-  options.cache_shards = 0;
-  auto engine = QueryEngine::Create(graph_, options);
-  ASSERT_FALSE(engine.ok());
-  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
-  // With the cache disabled the shard count is irrelevant.
-  options.cache_capacity = 0;
-  EXPECT_TRUE(QueryEngine::Create(graph_, options).ok());
-}
-
 TEST_F(ServiceEngineTest, AdoptWrapsExistingSearcher) {
   TopKSearcher searcher(graph_, BaseSearch());
   searcher.BuildIndex();
@@ -278,8 +267,15 @@ TEST_F(ServiceEngineTest, RepeatRequestServedFromCache) {
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(warm->from_cache);
   ExpectSameRanking(warm->top, cold->top);
-  // Cached stats are the original query's instrumentation.
-  EXPECT_EQ(warm->stats.refined, cold->stats.refined);
+  // The cache keeps the ranking alone: a hit ran nothing, so its stats
+  // are zero, like its event's walks and phases.
+  ASSERT_GT(cold->stats.walks, 0u);
+  ASSERT_GT(cold->stats.candidates_enumerated, 0u);
+  EXPECT_EQ(warm->stats.walks, 0u);
+  EXPECT_EQ(warm->stats.candidates_enumerated, 0u);
+  EXPECT_EQ(warm->stats.refined, 0u);
+  EXPECT_EQ(warm->stats.seconds, 0.0);
+  EXPECT_EQ(warm->stats.phases.Sum(), 0u);
 }
 
 TEST_F(ServiceEngineTest, CacheKeyIncludesEffectiveOptions) {
@@ -324,19 +320,21 @@ TEST_F(ServiceEngineTest, InvalidateCacheDropsEntries) {
 }
 
 TEST_F(ServiceEngineTest, LruEvictsLeastRecentlyUsedEntry) {
-  EngineOptions options = BaseEngine();
-  options.cache_capacity = 2;
-  options.cache_shards = 1;  // single shard so eviction order is global
-  auto engine = QueryEngine::Create(graph_, options);
-  ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE((*engine)->Query(QueryRequest::ForVertex(10)).ok());  // A
-  ASSERT_TRUE((*engine)->Query(QueryRequest::ForVertex(20)).ok());  // B
+  ResultCache cache(2, 1);  // single shard so eviction order is global
+  const auto key = [](Vertex v) {
+    return CacheKey{.vertices = {v}, .group = false, .k = 8};
+  };
+  const std::vector<ScoredVertex> top = {{7, 0.5}};
+  std::vector<ScoredVertex> out;
+  cache.Insert(key(10), top);  // A
+  cache.Insert(key(20), top);  // B
   // Touch A so B becomes least recently used, then insert C.
-  ASSERT_TRUE((*engine)->Query(QueryRequest::ForVertex(10))->from_cache);
-  ASSERT_TRUE((*engine)->Query(QueryRequest::ForVertex(30)).ok());  // C
-  EXPECT_EQ((*engine)->CacheSize(), 2u);
-  EXPECT_TRUE((*engine)->Query(QueryRequest::ForVertex(10))->from_cache);
-  EXPECT_FALSE((*engine)->Query(QueryRequest::ForVertex(20))->from_cache);
+  ASSERT_TRUE(cache.Lookup(key(10), &out));
+  cache.Insert(key(30), top);  // C
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_TRUE(cache.Lookup(key(10), &out));
+  EXPECT_FALSE(cache.Lookup(key(20), &out));
+  EXPECT_TRUE(cache.Lookup(key(30), &out));
 }
 
 // ---------------------------------------------------------------- deadlines
@@ -686,7 +684,6 @@ TEST_F(ServiceEngineTest, ConcurrentSubmissionStress) {
   options.num_threads = 4;
   options.admission.degrade_watermark = 8;
   options.cache_capacity = 32;  // small, so eviction churns under load
-  options.cache_shards = 2;
   auto engine = QueryEngine::Create(graph_, options);
   ASSERT_TRUE(engine.ok());
 
@@ -743,17 +740,16 @@ TEST_F(ServiceEngineTest, ConcurrentSubmissionStress) {
 TEST(ResultCacheTest, ShardedLookupInsertEvict) {
   ResultCache cache(4, 2);
   EXPECT_EQ(cache.capacity(), 4u);
-  CacheEntry entry;
-  entry.top = {{7, 0.5}};
+  const std::vector<ScoredVertex> top = {{7, 0.5}};
   CacheKey key{.vertices = {1}, .group = false, .k = 10, .threshold_bits = 0};
-  EXPECT_FALSE(cache.Lookup(key, &entry));
-  cache.Insert(key, entry);
-  CacheEntry out;
+  std::vector<ScoredVertex> out;
+  EXPECT_FALSE(cache.Lookup(key, &out));
+  cache.Insert(key, top);
   ASSERT_TRUE(cache.Lookup(key, &out));
-  ASSERT_EQ(out.top.size(), 1u);
-  EXPECT_EQ(out.top[0].vertex, 7u);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].vertex, 7u);
   // Refresh does not duplicate.
-  cache.Insert(key, entry);
+  cache.Insert(key, top);
   EXPECT_EQ(cache.size(), 1u);
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);

@@ -51,8 +51,13 @@ struct ClassAccumulator {
       ++report.shed;
       return;
     }
-    latencies.push_back(response.engine_seconds);
-    report.max_seconds = std::max(report.max_seconds, response.engine_seconds);
+    // The engine's own verdict: a request that expired before it started
+    // ran nothing, and its engine time is no latency.
+    if (response.answered) {
+      latencies.push_back(response.engine_seconds);
+      report.max_seconds =
+          std::max(report.max_seconds, response.engine_seconds);
+    }
     if (response.degraded) ++report.degraded;
     if (response.from_cache) ++report.cache_hits;
     if (response.status.ok()) {

@@ -10,7 +10,11 @@
 // or not earlier requests have finished. Completions are collected on
 // the way and folded into per-priority-class latency/outcome stats —
 // exact percentiles over the run's own samples (the run is bounded, so
-// keeping every latency is cheap), independent of the obs layer.
+// keeping every latency is cheap), independent of the obs layer. The
+// percentiles rank answered requests only (QueryResponse::answered, the
+// rule the engine's own latency sinks follow): a request that was shed or
+// expired in the queue is counted, but its engine time is no latency, so
+// expiry cannot make the percentiles read better.
 //
 // FindMaxSustainableQps ramps the offered rate geometrically until the
 // interactive class breaches the declared SLO (p99 target or shed-rate
@@ -57,8 +61,8 @@ struct ClassReport {
   uint64_t deadline = 0;   ///< DeadlineExceeded responses
   uint64_t rejected = 0;   ///< invalid before execution (should be 0)
   uint64_t cache_hits = 0;
-  /// Engine-side latency percentiles over executed (non-shed) requests,
-  /// in seconds. 0 when nothing executed.
+  /// Engine-side latency percentiles over answered requests
+  /// (QueryResponse::answered), in seconds. 0 when none was answered.
   double p50_seconds = 0.0;
   double p99_seconds = 0.0;
   double p999_seconds = 0.0;

@@ -5,20 +5,6 @@
 
 namespace simrank::loadgen {
 
-const char* TrafficKindName(TrafficKind kind) {
-  switch (kind) {
-    case TrafficKind::kTopK:
-      return "topk";
-    case TrafficKind::kPair:
-      return "pair";
-    case TrafficKind::kGroup:
-      return "group";
-    case TrafficKind::kBackground:
-      return "background";
-  }
-  return "unknown";
-}
-
 double WorkloadOptions::PeakMultiplier() const {
   // Overlapping bursts multiply, so the envelope is the product of every
   // multiplier that could be simultaneously active. Computing the true

@@ -47,9 +47,6 @@ enum class TrafficKind : uint8_t {
 };
 inline constexpr size_t kNumTrafficKinds = 4;
 
-/// Stable lower-case token ("topk", "pair", "group", "background").
-const char* TrafficKindName(TrafficKind kind);
-
 /// A window during which the base arrival rate is multiplied — the
 /// burst phases of the run ("2x between t=5s and t=10s").
 struct BurstPhase {

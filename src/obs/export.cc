@@ -1,13 +1,13 @@
 #include "obs/export.h"
 
 #include <cmath>
+#include <cstdio>
 #include <string>
 
 #include "obs/build_info.h"
 #include "util/atomic_file.h"
 #include "util/check.h"
 #include "util/fault_injection.h"
-#include "util/table.h"
 
 namespace simrank::obs {
 
@@ -149,34 +149,6 @@ std::string JsonWriter::TakeString() {
 }
 
 const char* BuildGitRevision() { return SIMRANK_GIT_REVISION; }
-
-// --- human-readable output -------------------------------------------------
-
-void PrintMetrics(const MetricsSnapshot& snapshot, std::FILE* out) {
-  if (!snapshot.counters.empty() || !snapshot.gauges.empty()) {
-    TablePrinter table({"metric", "value"});
-    for (const auto& [name, value] : snapshot.counters) {
-      table.AddRow({name, FormatCount(value)});
-    }
-    for (const auto& [name, value] : snapshot.gauges) {
-      table.AddRow({name, value < 0 ? std::to_string(value)
-                                    : FormatCount(
-                                          static_cast<uint64_t>(value))});
-    }
-    std::fputs(table.ToString().c_str(), out);
-  }
-  if (!snapshot.histograms.empty()) {
-    TablePrinter table(
-        {"histogram", "count", "mean", "p50", "p95", "p99", "max"});
-    for (const auto& [name, h] : snapshot.histograms) {
-      table.AddRow({name, FormatCount(h.count), FormatDouble(h.mean),
-                    FormatDouble(h.p50), FormatDouble(h.p95),
-                    FormatDouble(h.p99),
-                    FormatCount(h.max)});
-    }
-    std::fputs(table.ToString().c_str(), out);
-  }
-}
 
 // --- JSON ------------------------------------------------------------------
 

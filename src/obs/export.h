@@ -1,15 +1,13 @@
 #ifndef SIMRANK_OBS_EXPORT_H_
 #define SIMRANK_OBS_EXPORT_H_
 
-// Exporters for the obs subsystem: human-readable tables (util::Table
-// layout) and stable-schema JSON. The JSON schemas are versioned
-// ("simrank-obs-v1" / "simrank-bench-v1" / "simrank-events-v2") and
-// documented in docs/OBSERVABILITY.md; CI checks them (see
+// Exporters for the obs subsystem: stable-schema JSON. The schemas are
+// versioned ("simrank-obs-v1" / "simrank-bench-v1" / "simrank-events-v2")
+// and documented in docs/OBSERVABILITY.md; CI checks them (see
 // .github/workflows/ci.yml), so schema changes must bump the version
 // string.
 
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <string>
 #include <string_view>
@@ -58,11 +56,6 @@ class JsonWriter {
 /// Git revision the binary was configured from ("unknown" outside a git
 /// checkout). Captured at CMake configure time.
 const char* BuildGitRevision();
-
-// --- human-readable output -------------------------------------------------
-
-/// Prints counters/gauges and histogram percentiles as aligned tables.
-void PrintMetrics(const MetricsSnapshot& snapshot, std::FILE* out = stdout);
 
 // --- JSON ------------------------------------------------------------------
 

@@ -72,10 +72,6 @@ void SetPostmortemPath(const std::string& path) {
   PostmortemConfig::Default().SetPath(path);
 }
 
-std::string GetPostmortemPath() {
-  return PostmortemConfig::Default().path();
-}
-
 Status WritePostmortemDump(const std::string& path,
                            const PostmortemInfo& info) {
   EventsReport report = CollectDefaultEventsReport();

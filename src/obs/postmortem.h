@@ -27,7 +27,6 @@ namespace simrank::obs {
 
 /// Arms crash-time dumps to `path`; an empty path disarms. Thread-safe.
 void SetPostmortemPath(const std::string& path);
-std::string GetPostmortemPath();
 
 /// Writes one postmortem events document — the process-wide defaults
 /// (flight recorder, slow log, rolling window) plus `info` — to `path`.

@@ -156,15 +156,17 @@ void AdmissionController::OnDequeue(PriorityClass priority) {
 }
 
 AdmissionDecision AdmissionController::ExecutionDecision(
-    PriorityClass priority, size_t total_queued) const {
+    PriorityClass priority) const {
   MutexLock lock(mutex_);
   const auto level = static_cast<DegradationLevel>(level_);
   const bool level_degrades =
       level >= DegradationLevel::kDegradeAll ||
       (level >= DegradationLevel::kDegradeBatch &&
        priority == PriorityClass::kBatch);
+  size_t backlog = 0;
+  for (const size_t queued : queued_) backlog += queued;
   const bool watermark_degrades = options_.degrade_watermark > 0 &&
-                                  total_queued > options_.degrade_watermark;
+                                  backlog > options_.degrade_watermark;
   return (level_degrades || watermark_degrades)
              ? AdmissionDecision::kDegraded
              : AdmissionDecision::kAdmitted;

@@ -116,7 +116,8 @@ struct AdmissionOptions {
   size_t batch_queue_limit = 0;
 
   /// Queue-depth degradation watermark: when more than this many
-  /// submitted requests are waiting, sampling-backend queries run with
+  /// admitted submitted requests are waiting (the controller's own
+  /// backlog, summed over the classes), sampling-backend queries run with
   /// estimate walks and report degraded = true. 0 disables.
   size_t degrade_watermark = 0;
 
@@ -170,12 +171,11 @@ class AdmissionController {
   void OnDequeue(PriorityClass priority) SIMRANK_EXCLUDES(mutex_);
 
   /// Quality decision for an admitted request about to execute:
-  /// kDegraded when the degradation level (or the queue-depth
-  /// watermark, with `total_queued` waiting requests) says this class
-  /// runs rough, else kAdmitted. The caller applies it only when the
+  /// kDegraded when the degradation level says this class runs rough, or
+  /// when the backlog summed over the classes is above the queue-depth
+  /// watermark; else kAdmitted. The caller applies it only when the
   /// serving backend has a cheaper mode.
-  AdmissionDecision ExecutionDecision(PriorityClass priority,
-                                      size_t total_queued) const
+  AdmissionDecision ExecutionDecision(PriorityClass priority) const
       SIMRANK_EXCLUDES(mutex_);
 
   /// Feedback input: one answered request of `priority` took

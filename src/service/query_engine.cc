@@ -236,14 +236,8 @@ const TopKSearcher& QueryEngine::searcher() const {
 
 QueryEngine::~QueryEngine() {
   // Final gauge publication: a short-lived engine (one CLI query) never
-  // rolls a window bucket, so without this the service.slo.* and pool
-  // gauges in an end-of-run obs snapshot would be stale or absent.
-  const ThreadPoolStats stats = pool_.stats();
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-  registry.GetGauge("service.pool.tasks_executed")
-      .Set(static_cast<int64_t>(stats.tasks_executed));
-  registry.GetGauge("service.pool.queue_wait_us")
-      .Set(static_cast<int64_t>(stats.queue_wait_seconds * 1e6));
+  // rolls a window bucket, so without this the service.slo.* gauges in an
+  // end-of-run obs snapshot would be stale or absent.
   if (!options_.slos.empty()) {
     obs::RollingWindow::Default().UpdateGauges(obs::RollingWindow::NowSecond());
   }
@@ -324,19 +318,13 @@ Result<std::future<Result<QueryResponse>>> QueryEngine::Submit(
   }
   auto promise = std::make_shared<std::promise<Result<QueryResponse>>>();
   std::future<Result<QueryResponse>> future = promise->get_future();
-  queued_.fetch_add(1, std::memory_order_relaxed);
   pool_.Submit([this, promise, request = std::move(request), enqueued] {
-    // Depth is "submitted but not yet started": drop out before the
-    // load-shed check so a request never sheds on account of itself.
-    queued_.fetch_sub(1, std::memory_order_relaxed);
+    // The backlog is "submitted but not yet started": release the slot
+    // before the degradation check so a request never degrades on
+    // account of itself.
     if (admission_ != nullptr) admission_->OnDequeue(request.priority);
-    try {
-      promise->set_value(
-          Run(request, enqueued, EngineClock::now(), /*submitted=*/true));
-    } catch (...) {
-      promise->set_value(
-          Status::Internal("query task failed with an exception"));
-    }
+    promise->set_value(
+        Run(request, enqueued, EngineClock::now(), /*submitted=*/true));
   });
   return future;
 }
@@ -418,8 +406,17 @@ Result<QueryResponse> QueryEngine::Run(const QueryRequest& request,
                                        bool submitted) {
   Lifecycle lifecycle{
       .enqueued = enqueued, .start = start, .submitted = submitted};
-  Result<QueryResponse> result =
-      Execute(request, start, lifecycle.answered);
+  // A throw is an execution failure like an injected fault: Query and
+  // Submit answer the same Internal result, accounted once. It must not
+  // escape, because a pool task must not throw.
+  Result<QueryResponse> result = [&]() -> Result<QueryResponse> {
+    try {
+      return Execute(request, start, lifecycle.answered);
+    } catch (...) {
+      lifecycle.answered = false;
+      return Status::Internal("query execution failed with an exception");
+    }
+  }();
   lifecycle.end = EngineClock::now();
   Account(request, result, lifecycle);
   return result;
@@ -480,8 +477,7 @@ Result<QueryResponse> QueryEngine::Execute(const QueryRequest& request,
                            .refine_walks = std::nullopt};
   if (admission_ != nullptr && backend_kind == BackendKind::kMonteCarlo &&
       options_.search.refine_walks > options_.search.estimate_walks &&
-      admission_->ExecutionDecision(
-          request.priority, queued_.load(std::memory_order_relaxed)) ==
+      admission_->ExecutionDecision(request.priority) ==
           AdmissionDecision::kDegraded) {
     overrides.refine_walks = options_.search.estimate_walks;
     response.degraded = true;
@@ -525,12 +521,13 @@ void QueryEngine::Account(const QueryRequest& request,
   event.client_hash = HashClientId(request.client_id);
   if (lifecycle.submitted) event.flags |= obs::kEventSubmitted;
   if (!result.ok()) {
-    // An injected fault: no service.* counter counts it.
+    // An injected fault or a throw: no service.* counter counts it.
     event.status = static_cast<uint8_t>(result.status().code());
   } else {
     QueryResponse& response = result.value();
     response.queue_seconds = static_cast<double>(event.queue_wait_ns) / 1e9;
     response.engine_seconds = static_cast<double>(duration_ns) / 1e9;
+    response.answered = lifecycle.answered;
     event.status = static_cast<uint8_t>(response.status.code());
     event.decision = static_cast<uint8_t>(response.decision);
     metrics.requests.Add(1);

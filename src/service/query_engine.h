@@ -24,6 +24,9 @@
 //     with whatever partial ranking/stats were computed before the
 //     deadline fired. Degradation under load is likewise reported in the
 //     response (`degraded`), never applied silently.
+//   - A request whose execution fails (an injected fault, or a backend
+//     that throws) is a non-OK Result too — Internal for a throw — from
+//     Query and Submit alike; it is accounted, but answers nothing.
 //
 // Construction validates options up front (SearchOptions::Validate) and
 // returns Result instead of aborting; no public entry point of the engine
@@ -178,6 +181,11 @@ struct QueryResponse {
   /// End-to-end engine time for this request, excluding queue wait (0
   /// for shed requests). Exactly the event's duration_ns, in seconds.
   double engine_seconds = 0.0;
+  /// The engine's verdict on `engine_seconds`: true when the request was
+  /// answered — a cache hit, or at least one backend query ran — and so
+  /// gave a latency sample. False for shed requests and for requests
+  /// whose deadline passed before they started.
+  bool answered = false;
   /// Flight-recorder sequence id of this request's QueryEvent (0 when
   /// obs is disabled) — the join key between a response and its record
   /// in the `--events-json` / postmortem dumps.
@@ -254,12 +262,13 @@ class QueryEngine {
   QueryEngine& operator=(const QueryEngine&) = delete;
 
   /// Synchronous execution on the calling thread. Non-OK Result means the
-  /// request was rejected and nothing ran.
+  /// request was rejected and nothing ran, or its execution failed.
   Result<QueryResponse> Query(const QueryRequest& request);
 
   /// Asynchronous execution on the engine's pool. Request validation
   /// happens before enqueueing, so a returned future always resolves to
-  /// an execution outcome, never a validation error.
+  /// an execution outcome, never a validation error; a failed execution
+  /// resolves to the same non-OK Result Query returns.
   Result<std::future<Result<QueryResponse>>> Submit(QueryRequest request);
 
   /// Submits every request, waits for all of them, and returns responses
@@ -297,11 +306,6 @@ class QueryEngine {
   void InvalidateCache();
   /// Entries currently cached (0 when the cache is disabled).
   size_t CacheSize() const;
-
-  /// Submitted requests currently waiting for a worker.
-  size_t queue_depth() const {
-    return queued_.load(std::memory_order_relaxed);
-  }
 
   /// Worker threads actually running (options.num_threads resolved).
   size_t num_threads() const { return pool_.num_threads(); }
@@ -345,7 +349,7 @@ class QueryEngine {
     bool submitted = false;
     /// A cache hit, or at least one backend query ran: the request gives
     /// a latency sample. Shed requests, requests that expired before they
-    /// started and injected faults do not.
+    /// started, injected faults and requests that threw do not.
     bool answered = false;
   };
 
@@ -359,7 +363,8 @@ class QueryEngine {
                                              EngineClock::time_point now,
                                              bool submitted);
   /// Executes an admitted request, reads the clock at its end and
-  /// accounts for it.
+  /// accounts for it. An exception from Execute becomes an Internal
+  /// result, accounted as not answered.
   Result<QueryResponse> Run(const QueryRequest& request,
                             EngineClock::time_point enqueued,
                             EngineClock::time_point start, bool submitted);
@@ -408,8 +413,6 @@ class QueryEngine {
   /// Null when EngineOptions::admission is fully disabled — the default
   /// request path then has zero admission-control overhead.
   std::unique_ptr<AdmissionController> admission_;
-
-  std::atomic<size_t> queued_{0};
 
   /// Declared last: destroyed first, so the pool drains all tasks while
   /// the members they touch are still alive.

@@ -39,8 +39,6 @@ class DenseMatrix {
   const double* Row(size_t i) const { return data_.data() + i * n_; }
   double* Row(size_t i) { return data_.data() + i * n_; }
 
-  void Fill(double value) { data_.assign(n_ * n_, value); }
-
   void Swap(DenseMatrix& other) {
     std::swap(n_, other.n_);
     data_.swap(other.data_);

@@ -232,13 +232,6 @@ void TopKSearcher::BuildIndex(ThreadPool* pool) {
   registry.GetGauge("index.build_total_us")
       .Set(static_cast<int64_t>(preprocess_seconds_ * 1e6));
   PublishIndexBytes(gamma_.get(), index_.get());
-  if (pool != nullptr) {
-    const ThreadPoolStats pool_stats = pool->stats();
-    registry.GetGauge("threadpool.tasks_executed")
-        .Set(static_cast<int64_t>(pool_stats.tasks_executed));
-    registry.GetGauge("threadpool.queue_wait_us")
-        .Set(static_cast<int64_t>(pool_stats.queue_wait_seconds * 1e6));
-  }
 }
 
 void TopKSearcher::AdoptPrebuiltIndex(std::unique_ptr<GammaTable> gamma,

@@ -36,7 +36,6 @@
 // unannotated function, so reads of guarded members inside it would be
 // flagged (or worse, silently unchecked).
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -51,10 +50,6 @@ class SIMRANK_CAPABILITY("mutex") Mutex {
   Mutex() = default;
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
-
-  void Lock() SIMRANK_ACQUIRE() { mutex_.lock(); }
-  void Unlock() SIMRANK_RELEASE() { mutex_.unlock(); }
-  bool TryLock() SIMRANK_TRY_ACQUIRE(true) { return mutex_.try_lock(); }
 
  private:
   friend class MutexLock;
@@ -90,13 +85,6 @@ class CondVar {
   /// Atomically releases `lock`, blocks until notified, reacquires.
   /// Spurious wakeups happen; callers loop on their condition.
   void Wait(MutexLock& lock) { cv_.wait(lock.lock_); }
-
-  /// As Wait, but returns false if `timeout` elapsed first.
-  template <typename Rep, typename Period>
-  bool WaitFor(MutexLock& lock,
-               const std::chrono::duration<Rep, Period>& timeout) {
-    return cv_.wait_for(lock.lock_, timeout) == std::cv_status::no_timeout;
-  }
 
   void NotifyOne() noexcept { cv_.notify_one(); }
   void NotifyAll() noexcept { cv_.notify_all(); }

@@ -27,25 +27,9 @@ void ThreadPool::Submit(std::function<void()> task) {
   {
     MutexLock lock(mutex_);
     SIMRANK_CHECK(!shutting_down_);
-    tasks_.push({std::move(task), std::chrono::steady_clock::now()});
-    ++in_flight_;
+    tasks_.push(std::move(task));
   }
   work_available_.NotifyOne();
-}
-
-void ThreadPool::Wait() {
-  std::exception_ptr error;
-  {
-    MutexLock lock(mutex_);
-    while (in_flight_ != 0) all_done_.Wait(lock);
-    std::swap(error, first_error_);
-  }
-  if (error) std::rethrow_exception(error);
-}
-
-ThreadPoolStats ThreadPool::stats() const {
-  MutexLock lock(mutex_);
-  return {tasks_executed_, queue_wait_seconds_};
 }
 
 void ThreadPool::WorkerLoop() {
@@ -55,30 +39,10 @@ void ThreadPool::WorkerLoop() {
       MutexLock lock(mutex_);
       while (!shutting_down_ && tasks_.empty()) work_available_.Wait(lock);
       if (tasks_.empty()) return;  // shutting down
-      task = std::move(tasks_.front().fn);
-      queue_wait_seconds_ +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        tasks_.front().enqueued)
-              .count();
+      task = std::move(tasks_.front());
       tasks_.pop();
     }
-    std::exception_ptr error;
-    try {
-      task();
-    } catch (...) {
-      error = std::current_exception();
-    }
-    // Destroy the task's captures before announcing completion: a waiter
-    // may tear down state the closure still references (e.g. ParallelFor's
-    // stack frame) the moment in_flight_ hits zero.
-    task = nullptr;
-    {
-      MutexLock lock(mutex_);
-      if (error && !first_error_) first_error_ = error;
-      ++tasks_executed_;
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.NotifyAll();
-    }
+    task();
   }
 }
 
@@ -95,7 +59,8 @@ void ParallelFor(ThreadPool* pool, size_t begin, size_t end,
 
   // Per-call completion state: chunks of this call signal `done` when
   // `remaining` hits zero, so concurrent ParallelFor calls sharing one pool
-  // wait only on their own work (pool->Wait() would wait on everyone's).
+  // wait only on their own work. A chunk catches its own exception: pool
+  // tasks must not throw.
   struct CallState {
     Mutex mutex;
     CondVar done;

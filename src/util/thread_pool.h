@@ -1,10 +1,7 @@
 #ifndef SIMRANK_UTIL_THREAD_POOL_H_
 #define SIMRANK_UTIL_THREAD_POOL_H_
 
-#include <chrono>
 #include <cstddef>
-#include <cstdint>
-#include <exception>
 #include <functional>
 #include <queue>
 #include <thread>
@@ -15,39 +12,34 @@
 
 namespace simrank {
 
-/// Cumulative instrumentation of one ThreadPool. Snapshot via
-/// ThreadPool::stats(); the obs layer publishes these as
-/// "threadpool.*" metrics (util itself has no obs dependency).
-struct ThreadPoolStats {
-  /// Tasks that finished executing (including ones that threw).
-  uint64_t tasks_executed = 0;
-  /// Total time tasks spent queued before a worker picked them up.
-  double queue_wait_seconds = 0.0;
-};
-
 /// Fixed-size worker pool. The all-pairs similarity search is embarrassingly
 /// parallel over query vertices (the paper's "distributed computing
 /// friendly" remark, §2.2); this pool is how the single-machine build
 /// exploits that.
 ///
-/// Thread-safety: Submit() and Wait() may be called concurrently from any
-/// number of threads. All shared state is guarded by a single mutex —
+/// Contract: the pool runs submitted closures on N workers, starting them
+/// in submission order, and its destructor drains the queue before
+/// joining. That is all it does. Completion, errors and queue wait belong
+/// to the submitter: ParallelFor waits on its own chunks and rethrows
+/// their first exception; the query engine resolves one promise per
+/// request and times its queue wait itself.
+///
+/// A task must not throw. Each submitter catches its own exceptions; one
+/// that escapes a task anyway leaves the worker's thread function, so
+/// std::thread terminates the process instead of dropping it.
+///
+/// Thread-safety: Submit() may be called concurrently from any number of
+/// threads, tasks included. The queue is guarded by a single mutex —
 /// declared to the compiler via the SIMRANK_GUARDED_BY annotations below
 /// and enforced at compile time under clang -Wthread-safety (the
 /// clang-analysis preset) — and the class is verified race-free under
 /// ThreadSanitizer by the stress suite in tests/test_thread_pool.cc.
-///
-/// Exceptions: a task that throws does not take down the worker thread.
-/// The first uncaught task exception is captured and rethrown from the next
-/// Wait() call (to exactly one waiter); later exceptions from the same
-/// batch are dropped.
 class ThreadPool {
  public:
   /// Creates `num_threads` workers (>= 1).
   explicit ThreadPool(size_t num_threads);
 
-  /// Drains already-queued tasks, then joins the workers. Any captured
-  /// task exception that was never consumed by Wait() is dropped.
+  /// Runs every already-queued task, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -59,35 +51,14 @@ class ThreadPool {
   /// the destructor has begun.
   void Submit(std::function<void()> task) SIMRANK_EXCLUDES(mutex_);
 
-  /// Blocks until every submitted task has finished, then rethrows the
-  /// first captured task exception, if any. Safe to call concurrently;
-  /// when several threads wait, each sees all tasks finish but only one
-  /// receives a given exception.
-  void Wait() SIMRANK_EXCLUDES(mutex_);
-
-  /// Cumulative execution statistics since construction. Thread-safe.
-  ThreadPoolStats stats() const SIMRANK_EXCLUDES(mutex_);
-
  private:
-  struct QueuedTask {
-    std::function<void()> fn;
-    std::chrono::steady_clock::time_point enqueued;
-  };
-
   void WorkerLoop() SIMRANK_EXCLUDES(mutex_);
 
   std::vector<std::thread> workers_;
-  mutable Mutex mutex_;
+  Mutex mutex_;
   CondVar work_available_;
-  CondVar all_done_;
-  /// Queued but not yet running tasks.
-  std::queue<QueuedTask> tasks_ SIMRANK_GUARDED_BY(mutex_);
-  /// Queued + running tasks.
-  size_t in_flight_ SIMRANK_GUARDED_BY(mutex_) = 0;
+  std::queue<std::function<void()>> tasks_ SIMRANK_GUARDED_BY(mutex_);
   bool shutting_down_ SIMRANK_GUARDED_BY(mutex_) = false;
-  std::exception_ptr first_error_ SIMRANK_GUARDED_BY(mutex_);
-  uint64_t tasks_executed_ SIMRANK_GUARDED_BY(mutex_) = 0;
-  double queue_wait_seconds_ SIMRANK_GUARDED_BY(mutex_) = 0.0;
 };
 
 /// Runs fn(i) for i in [begin, end), statically chunked over `pool` (or

@@ -208,12 +208,26 @@ TEST(AdmissionControllerTest, WatermarkDegradesExecutionOnly) {
   AdmissionOptions options;
   options.degrade_watermark = 2;
   AdmissionController controller(options);
-  EXPECT_EQ(controller.ExecutionDecision(PriorityClass::kInteractive, 2),
+  // The watermark reads the controller's own backlog: two queued
+  // interactive requests sit at it.
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(controller.Admit(PriorityClass::kInteractive, 0, 0.0,
+                               /*will_queue=*/true),
+              AdmissionDecision::kAdmitted);
+  }
+  EXPECT_EQ(controller.ExecutionDecision(PriorityClass::kInteractive),
             AdmissionDecision::kAdmitted);
-  EXPECT_EQ(controller.ExecutionDecision(PriorityClass::kInteractive, 3),
+  // A queued batch request crosses it: the backlog sums over the classes.
+  ASSERT_EQ(controller.Admit(PriorityClass::kBatch, 0, 0.0, true),
+            AdmissionDecision::kAdmitted);
+  EXPECT_EQ(controller.ExecutionDecision(PriorityClass::kInteractive),
             AdmissionDecision::kDegraded);
-  EXPECT_EQ(controller.ExecutionDecision(PriorityClass::kBatch, 3),
+  EXPECT_EQ(controller.ExecutionDecision(PriorityClass::kBatch),
             AdmissionDecision::kDegraded);
+  // A dequeue brings it back to the watermark.
+  controller.OnDequeue(PriorityClass::kBatch);
+  EXPECT_EQ(controller.ExecutionDecision(PriorityClass::kBatch),
+            AdmissionDecision::kAdmitted);
   // The watermark never sheds; admission stays open.
   EXPECT_EQ(controller.Admit(PriorityClass::kInteractive, 0, 0.0, false),
             AdmissionDecision::kAdmitted);
@@ -268,7 +282,7 @@ TEST_F(FeedbackTest, BreachWalksDownCurveAndRecoveryWalksBack) {
             AdmissionDecision::kShedOverload);
   EXPECT_EQ(controller.Admit(PriorityClass::kInteractive, 0, 6.0, false),
             AdmissionDecision::kAdmitted);
-  EXPECT_EQ(controller.ExecutionDecision(PriorityClass::kInteractive, 0),
+  EXPECT_EQ(controller.ExecutionDecision(PriorityClass::kInteractive),
             AdmissionDecision::kDegraded);
 
   // Recovery needs recover_steps (2) healthy evaluated seconds per step
@@ -327,13 +341,13 @@ TEST_F(FeedbackTest, LevelDegradesBatchBeforeInteractive) {
   CompleteSecond(controller, 0.5, 8, 0.010);
   CompleteSecond(controller, 1.5, 8, 0.010);
   ASSERT_EQ(controller.level(), DegradationLevel::kDegradeBatch);
-  EXPECT_EQ(controller.ExecutionDecision(PriorityClass::kBatch, 0),
+  EXPECT_EQ(controller.ExecutionDecision(PriorityClass::kBatch),
             AdmissionDecision::kDegraded);
-  EXPECT_EQ(controller.ExecutionDecision(PriorityClass::kInteractive, 0),
+  EXPECT_EQ(controller.ExecutionDecision(PriorityClass::kInteractive),
             AdmissionDecision::kAdmitted);
   CompleteSecond(controller, 2.5, 8, 0.010);
   ASSERT_EQ(controller.level(), DegradationLevel::kDegradeAll);
-  EXPECT_EQ(controller.ExecutionDecision(PriorityClass::kInteractive, 0),
+  EXPECT_EQ(controller.ExecutionDecision(PriorityClass::kInteractive),
             AdmissionDecision::kDegraded);
 }
 

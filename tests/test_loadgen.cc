@@ -1,8 +1,8 @@
 // Load-generator coverage (src/loadgen/): workload validation, the
 // Zipf popularity sampler (determinism, head extraction, skew), the
 // time-varying arrival schedule (determinism, rate scaling, bursts,
-// mix and priority assignment), and a short end-to-end LoadGenerator
-// run against a real engine.
+// mix and priority assignment), and short end-to-end LoadGenerator
+// runs against a real engine.
 
 #include <algorithm>
 #include <cmath>
@@ -288,6 +288,40 @@ TEST(LoadGeneratorTest, ShortRunReportsAllTraffic) {
   // Percentiles are ordered.
   EXPECT_LE(report->interactive.p50_seconds, report->interactive.p99_seconds);
   EXPECT_LE(report->interactive.p99_seconds, report->interactive.max_seconds);
+}
+
+TEST(LoadGeneratorTest, PercentilesRankAnsweredRequestsOnly) {
+  // One worker and no cache: by the time a worker starts an interactive
+  // request its 1 ns deadline has passed, so none is answered. Each is
+  // counted as a deadline, but its engine time is no latency.
+  const DirectedGraph graph = simrank::testing::SmallRandomGraph(120, 540, 31);
+  service::EngineOptions engine_options;
+  engine_options.search.k = 8;
+  engine_options.num_threads = 1;
+  engine_options.cache_capacity = 0;
+  auto engine = service::QueryEngine::Create(graph, engine_options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  LoadGenOptions options;
+  options.workload.duration_seconds = 0.5;
+  options.workload.rate_qps = 200.0;
+  options.seed = 9;
+  options.interactive_deadline_seconds = 1e-9;
+  LoadGenerator generator(**engine, options);
+  auto report = generator.Run();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const ClassReport& interactive = report->interactive;
+  ASSERT_GT(interactive.sent, 0u);
+  EXPECT_EQ(interactive.deadline, interactive.sent);
+  EXPECT_EQ(interactive.completed, 0u);
+  EXPECT_EQ(interactive.p50_seconds, 0.0);
+  EXPECT_EQ(interactive.p99_seconds, 0.0);
+  EXPECT_EQ(interactive.p999_seconds, 0.0);
+  EXPECT_EQ(interactive.max_seconds, 0.0);
+  // Batch requests carry no deadline: they are answered and ranked.
+  ASSERT_GT(report->batch.sent, 0u);
+  EXPECT_EQ(report->batch.completed, report->batch.sent);
+  EXPECT_GT(report->batch.max_seconds, 0.0);
 }
 
 TEST(LoadGeneratorTest, RejectsInvalidOptions) {

@@ -15,6 +15,7 @@
 #include <future>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -807,6 +808,8 @@ class ScriptedBackend : public SearcherBackend {
   }
   // Call before the first request: each query runs until `time`.
   void RunUntil(service::EngineClock::time_point time) { run_until_ = time; }
+  // Call before the first request: each query then throws.
+  void Throw() { throws_ = true; }
 
   BackendKind kind() const override { return BackendKind::kMonteCarlo; }
   void Build(ThreadPool*) override {}
@@ -816,6 +819,7 @@ class ScriptedBackend : public SearcherBackend {
   QueryResult Query(Vertex query,
                     const QueryOverrides& overrides) const override {
     started_.fetch_add(1);
+    if (throws_) throw std::runtime_error("scripted backend failure");
     if (released_.valid()) released_.wait();
     if (run_until_.has_value()) std::this_thread::sleep_until(*run_until_);
     QueryResult result;
@@ -832,6 +836,7 @@ class ScriptedBackend : public SearcherBackend {
   std::promise<void> release_;
   std::shared_future<void> released_;
   std::optional<service::EngineClock::time_point> run_until_;
+  bool throws_ = false;
   mutable std::atomic<int> started_{0};
 };
 
@@ -1050,6 +1055,7 @@ TEST_F(EngineEventsTest, EachRequestIsAccountedOnce) {
     const service::QueryResponse& response = result.value();
     EXPECT_EQ(response.decision, c.decision);
     EXPECT_EQ(response.status.code(), c.status);
+    EXPECT_EQ(response.answered, c.answered);
 
     // Exactly one event, carrying the response's timings exactly.
     EXPECT_EQ(after.events - before.events, 1u);
@@ -1089,6 +1095,56 @@ TEST_F(EngineEventsTest, EachRequestIsAccountedOnce) {
     EXPECT_EQ(window.errors, c.status == StatusCode::kOk ? 0u : 1u);
     EXPECT_EQ(window.latency_sum_ns, c.answered ? event.duration_ns : 0u);
   }
+}
+
+// A request whose backend throws answers Internal, from Query and Submit
+// alike, and is accounted once, as an execution failure: one event and
+// one window error, but no latency sample and no service.* counter.
+void ExpectThrownRequestAccountedOnce(bool submitted) {
+  DirectedGraph graph = testing::SmallRandomGraph(60, 920, 40);
+  auto backend = std::make_unique<ScriptedBackend>(graph);
+  backend->Throw();
+  service::EngineOptions options;
+  options.num_threads = 1;
+  auto engine = service::QueryEngine::AdoptBackend(std::move(backend), options);
+  ASSERT_TRUE(engine.ok()) << engine.status().message();
+
+  const Accounting before =
+      Accounting::Read(service::PriorityClass::kInteractive);
+  const service::QueryRequest request = service::QueryRequest::ForVertex(3);
+  const Result<service::QueryResponse> result =
+      submitted ? (*engine)->Submit(request)->get() : (*engine)->Query(request);
+  const Accounting after =
+      Accounting::Read(service::PriorityClass::kInteractive);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+
+  ASSERT_EQ(after.events - before.events, 1u);
+  const QueryEvent event = EventLog::Default().Snapshot().back();
+  EXPECT_EQ(event.status, static_cast<uint8_t>(StatusCode::kInternal));
+  EXPECT_EQ(event.flags, submitted ? obs::kEventSubmitted : 0);
+  EXPECT_EQ(event.walks, 0u);
+
+  EXPECT_EQ(after.requests, before.requests);
+  EXPECT_EQ(after.class_requests, before.class_requests);
+  EXPECT_EQ(after.backend_requests, before.backend_requests);
+  EXPECT_EQ(after.deadline_exceeded, before.deadline_exceeded);
+  EXPECT_EQ(after.latency_samples, before.latency_samples);
+  EXPECT_EQ(after.class_latency_samples, before.class_latency_samples);
+
+  const WindowSnapshot window =
+      RollingWindow::Default().Snapshot(RollingWindow::NowSecond());
+  EXPECT_EQ(window.count, 1u);
+  EXPECT_EQ(window.errors, 1u);
+  EXPECT_EQ(window.latency_sum_ns, 0u);
+}
+
+TEST_F(EngineEventsTest, ThrownQueryAnswersInternal) {
+  ExpectThrownRequestAccountedOnce(/*submitted=*/false);
+}
+
+TEST_F(EngineEventsTest, ThrownSubmittedRequestIsAccountedOnce) {
+  ExpectThrownRequestAccountedOnce(/*submitted=*/true);
 }
 
 // --- simrank-events-v2 JSON -------------------------------------------------

@@ -721,7 +721,6 @@ TEST_F(ServiceEngineTest, ConcurrentSubmissionStress) {
           default:
             (*engine)->InvalidateCache();
             (void)(*engine)->CacheSize();
-            (void)(*engine)->queue_depth();
             break;
         }
       }

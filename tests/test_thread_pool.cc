@@ -3,9 +3,10 @@
 // run it through the `tsan` preset, not just the default build
 // (docs/DEVELOPMENT.md).
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <numeric>
+#include <latch>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -18,94 +19,59 @@
 namespace simrank {
 namespace {
 
-// ---------- Submit / Wait interleavings ----------
+// ---------- Submit interleavings ----------
+//
+// The pool tracks no completion: each scenario waits on a test-local latch
+// or on the destructor's drain. The counters and latches are declared
+// before the pool, so they outlive its workers.
 
 TEST(ThreadPoolStressTest, SubmitFromManyThreads) {
-  ThreadPool pool(4);
   constexpr int kProducers = 8;
   constexpr int kTasksPerProducer = 250;
   std::atomic<int> counter{0};
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&pool, &counter] {
-      for (int i = 0; i < kTasksPerProducer; ++i) {
-        pool.Submit([&counter] { counter.fetch_add(1); });
-      }
-    });
-  }
-  for (std::thread& producer : producers) producer.join();
-  pool.Wait();
+  {
+    ThreadPool pool(4);
+    std::vector<std::thread> producers;
+    producers.reserve(kProducers);
+    for (int p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&pool, &counter] {
+        for (int i = 0; i < kTasksPerProducer; ++i) {
+          pool.Submit([&counter] { counter.fetch_add(1); });
+        }
+      });
+    }
+    for (std::thread& producer : producers) producer.join();
+  }  // the destructor drains the queue
   EXPECT_EQ(counter.load(), kProducers * kTasksPerProducer);
 }
 
-TEST(ThreadPoolStressTest, WaitWhileAnotherThreadSubmits) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  std::atomic<bool> producer_done{false};
-  std::thread producer([&] {
-    for (int i = 0; i < 500; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-    producer_done.store(true);
-  });
-  // Interleave Wait() with the producer's Submits. Each Wait() observes a
-  // momentarily drained pool, not necessarily the final count.
-  while (!producer_done.load()) pool.Wait();
-  producer.join();
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 500);
-}
-
-TEST(ThreadPoolStressTest, ConcurrentWaiters) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  std::vector<std::thread> waiters;
-  waiters.reserve(6);
-  for (int w = 0; w < 6; ++w) {
-    waiters.emplace_back([&pool] { pool.Wait(); });
-  }
-  for (std::thread& waiter : waiters) waiter.join();
-  EXPECT_EQ(counter.load(), 200);
-}
-
-TEST(ThreadPoolStressTest, ReuseAfterWait) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int round = 0; round < 50; ++round) {
-    for (int i = 0; i < 20; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.Wait();
-    EXPECT_EQ(counter.load(), (round + 1) * 20);
-  }
-}
-
 TEST(ThreadPoolStressTest, SubmitFromWithinTask) {
-  ThreadPool pool(2);
   std::atomic<int> counter{0};
+  std::latch done(2);
+  ThreadPool pool(2);
   pool.Submit([&] {
     counter.fetch_add(1);
-    // in_flight_ counts the child before the parent finishes, so a single
-    // Wait() below must cover both generations.
-    pool.Submit([&counter] { counter.fetch_add(1); });
+    done.count_down();
+    // A task may submit: the child queues behind whatever is pending.
+    pool.Submit([&] {
+      counter.fetch_add(1);
+      done.count_down();
+    });
   });
-  pool.Wait();
+  done.wait();
   EXPECT_EQ(counter.load(), 2);
 }
 
 TEST(ThreadPoolStressTest, Oversubscription) {
   // Far more workers than cores: exercises contended queue handoff and the
   // shutdown broadcast across parked threads.
-  ThreadPool pool(4 * std::max(1u, std::thread::hardware_concurrency()));
   std::atomic<size_t> sum{0};
-  for (size_t i = 1; i <= 1000; ++i) {
-    pool.Submit([&sum, i] { sum.fetch_add(i); });
-  }
-  pool.Wait();
+  {
+    ThreadPool pool(4 * std::max(1u, std::thread::hardware_concurrency()));
+    for (size_t i = 1; i <= 1000; ++i) {
+      pool.Submit([&sum, i] { sum.fetch_add(i); });
+    }
+  }  // the destructor drains the queue
   EXPECT_EQ(sum.load(), 1000u * 1001u / 2);
 }
 
@@ -116,52 +82,21 @@ TEST(ThreadPoolStressTest, DestructorDrainsQueuedTasks) {
     for (int i = 0; i < 100; ++i) {
       pool.Submit([&counter] { counter.fetch_add(1); });
     }
-    // No Wait(): the destructor must still run every queued task.
+    // Nothing waits: the destructor must still run every queued task.
   }
   EXPECT_EQ(counter.load(), 100);
 }
 
-// ---------- Exceptions ----------
-
-TEST(ThreadPoolExceptionTest, TaskExceptionRethrownFromWait) {
-  ThreadPool pool(2);
-  pool.Submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-}
-
-TEST(ThreadPoolExceptionTest, PoolUsableAfterTaskException) {
-  ThreadPool pool(2);
-  pool.Submit([] { throw std::runtime_error("first batch"); });
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();  // the consumed exception must not resurface
-  EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPoolExceptionTest, OnlyFirstExceptionIsKept) {
-  ThreadPool pool(4);
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([] { throw std::runtime_error("boom"); });
-  }
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  pool.Wait();  // later exceptions from the same batch were dropped
-}
-
-TEST(ThreadPoolExceptionTest, SurvivingTasksStillRun) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    if (i == 17) {
-      pool.Submit([] { throw std::runtime_error("odd one out"); });
-    } else {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-  }
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  EXPECT_EQ(counter.load(), 99);
+TEST(ThreadPoolDeathTest, EscapedTaskExceptionTerminates) {
+  // A task must not throw; one that does ends the process instead of
+  // being dropped silently.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(1);
+        pool.Submit([] { throw std::runtime_error("escaped"); });
+      },
+      "");
 }
 
 // ---------- ParallelFor ----------
@@ -223,8 +158,8 @@ TEST(ParallelForStressTest, PoolUnpoisonedAfterParallelForException) {
       ParallelFor(&pool, 0, 100,
                   [](size_t) { throw std::runtime_error("all fail"); }),
       std::runtime_error);
-  // The exception was consumed by ParallelFor, not parked in the pool.
-  pool.Wait();
+  // ParallelFor consumed the exception inside its chunks: every worker
+  // is still alive and runs the next call.
   std::atomic<int> counter{0};
   ParallelFor(&pool, 0, 64, [&counter](size_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 64);

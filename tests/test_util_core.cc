@@ -245,19 +245,14 @@ TEST(FormatTest, Count) {
 // ---------- ThreadPool ----------
 
 TEST(ThreadPoolTest, ExecutesAllTasks) {
-  ThreadPool pool(4);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 100; ++i) {
+      pool.Submit([&counter] { counter.fetch_add(1); });
+    }
+  }  // the destructor drains the queue
   EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitWithNoTasksReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.Wait();  // must not hang
-  SUCCEED();
 }
 
 TEST(ParallelForTest, CoversRangeExactlyOnce) {

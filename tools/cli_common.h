@@ -3,17 +3,25 @@
 
 // Plumbing shared by the command-line tools (simrank_cli,
 // simrank_loadgen): the tiny --key=value flag parser, the documented
-// Status -> exit-code mapping, and the --slo grammar. Header-only so
-// each tool stays a single translation unit.
+// Status -> exit-code mapping, the graph loader, the --family, --backend
+// and --slo grammars, and the closing --obs-json / --events-json
+// reports. Header-only so each tool stays a single translation unit.
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "eval/datasets.h"
+#include "graph/io.h"
+#include "obs/export.h"
+#include "obs/metrics.h"
 #include "obs/rolling.h"
+#include "simrank/searcher_backend.h"
 #include "util/status.h"
 
 namespace simrank::tools {
@@ -84,6 +92,61 @@ inline int ExitCodeFor(const Status& status) {
     default:
       return 1;
   }
+}
+
+// Graph files are the library's binary format when the path ends in .bin,
+// otherwise a whitespace edge list (SNAP format).
+inline bool IsBinaryGraphPath(const std::string& path) {
+  return path.size() > 4 && path.substr(path.size() - 4) == ".bin";
+}
+
+inline Result<DirectedGraph> LoadGraph(const std::string& path) {
+  return IsBinaryGraphPath(path) ? LoadBinary(path) : LoadEdgeListText(path);
+}
+
+// The --family names of the synthetic graph generators; nullopt for an
+// unknown name (each tool words its own error).
+inline std::optional<eval::DatasetFamily> ParseFamily(const std::string& name) {
+  if (name == "collab") return eval::DatasetFamily::kCollaboration;
+  if (name == "social") return eval::DatasetFamily::kSocial;
+  if (name == "web") return eval::DatasetFamily::kWeb;
+  if (name == "citation") return eval::DatasetFamily::kCitation;
+  return std::nullopt;
+}
+
+// The --backend grammar. The default is the paper's Monte-Carlo engine so
+// flagless invocations behave exactly as they did before backends existed;
+// --backend=auto opts into SelectBackend's size rule.
+inline Result<BackendChoice> BackendFromFlags(const Flags& flags) {
+  const std::string name = flags.GetString("backend", "mc");
+  const std::optional<BackendChoice> choice = ParseBackendChoice(name);
+  if (!choice.has_value()) {
+    return Status::InvalidArgument(
+        "--backend: expected auto, mc or exact; got '" + name + "'");
+  }
+  return *choice;
+}
+
+// Writes the reports a tool offers once its run is over, even when the
+// run failed: --obs-json (metrics snapshot, simrank-obs-v1), then
+// --events-json (simrank-events-v2). Prints each failure; returns the
+// exit code of the first, 0 when none failed.
+inline int WriteReports(const Flags& flags) {
+  int code = 0;
+  const auto note = [&code](const Status& status) {
+    if (status.ok()) return;
+    std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+    if (code == 0) code = ExitCodeFor(status);
+  };
+  const std::string obs_json = flags.GetString("obs-json");
+  if (!obs_json.empty()) {
+    note(obs::WriteJson(obs_json, obs::MetricsRegistry::Default().Snapshot()));
+  }
+  const std::string events_json = flags.GetString("events-json");
+  if (!events_json.empty()) {
+    note(obs::WriteEventsJson(events_json, obs::CollectDefaultEventsReport()));
+  }
+  return code;
 }
 
 // Parses the --slo grammar: comma-separated `objective:threshold` clauses

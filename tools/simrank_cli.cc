@@ -20,9 +20,6 @@
 // Every failure also prints the full Status to stderr.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -33,10 +30,7 @@
 #include "graph/io.h"
 #include "graph/stats.h"
 #include "graph/traversal.h"
-#include "obs/export.h"
-#include "obs/metrics.h"
 #include "obs/postmortem.h"
-#include "obs/rolling.h"
 #include "simrank/simrank.h"
 #include "util/table.h"
 #include "util/timer.h"
@@ -44,8 +38,10 @@
 namespace {
 
 using namespace simrank;
+using tools::BackendFromFlags;
 using tools::ExitCodeFor;
 using tools::Flags;
+using tools::LoadGraph;
 using tools::ParseSlos;
 
 int Fail(const Status& status) {
@@ -97,13 +93,6 @@ int Usage() {
   return 2;
 }
 
-Result<DirectedGraph> LoadGraph(const std::string& path) {
-  if (path.size() > 4 && path.substr(path.size() - 4) == ".bin") {
-    return LoadBinary(path);
-  }
-  return LoadEdgeListText(path);
-}
-
 SearchOptions OptionsFromFlags(const Flags& flags) {
   SearchOptions options;
   options.simrank.decay = flags.GetDouble("decay", options.simrank.decay);
@@ -114,19 +103,6 @@ SearchOptions OptionsFromFlags(const Flags& flags) {
   options.seed = flags.GetInt("seed", options.seed);
   options.estimate_diagonal = flags.GetBool("estimate-diagonal");
   return options;
-}
-
-// The --backend grammar. The default is the paper's Monte-Carlo engine so
-// flagless invocations behave exactly as they did before backends existed;
-// --backend=auto opts into SelectBackend's size rule.
-Result<BackendChoice> BackendFromFlags(const Flags& flags) {
-  const std::string name = flags.GetString("backend", "mc");
-  const std::optional<BackendChoice> choice = ParseBackendChoice(name);
-  if (!choice.has_value()) {
-    return Status::InvalidArgument(
-        "--backend: expected auto, mc or exact; got '" + name + "'");
-  }
-  return *choice;
 }
 
 void PrintRanking(const std::vector<ScoredVertex>& ranking) {
@@ -143,27 +119,19 @@ int CmdGenerate(const Flags& flags) {
   const std::string out = flags.GetString("out");
   if (out.empty()) return Fail("--out is required");
   const std::string family_name = flags.GetString("family", "web");
+  const std::optional<eval::DatasetFamily> family =
+      tools::ParseFamily(family_name);
+  if (!family.has_value()) return Fail("unknown family " + family_name);
   eval::DatasetSpec spec;
   spec.name = "cli";
-  if (family_name == "collab") {
-    spec.family = eval::DatasetFamily::kCollaboration;
-  } else if (family_name == "social") {
-    spec.family = eval::DatasetFamily::kSocial;
-  } else if (family_name == "web") {
-    spec.family = eval::DatasetFamily::kWeb;
-  } else if (family_name == "citation") {
-    spec.family = eval::DatasetFamily::kCitation;
-  } else {
-    return Fail("unknown family " + family_name);
-  }
+  spec.family = *family;
   spec.target_vertices = static_cast<Vertex>(flags.GetInt("n", 65536));
   spec.target_edges = flags.GetInt("m", spec.target_vertices * 8ull);
   spec.seed = flags.GetInt("seed", 1);
   const DirectedGraph graph = eval::Generate(spec);
-  const Status status =
-      out.size() > 4 && out.substr(out.size() - 4) == ".bin"
-          ? SaveBinary(graph, out)
-          : SaveEdgeListText(graph, out);
+  const Status status = tools::IsBinaryGraphPath(out)
+                            ? SaveBinary(graph, out)
+                            : SaveEdgeListText(graph, out);
   if (!status.ok()) return Fail(status);
   std::printf("wrote %s: %s\n", out.c_str(),
               ToString(ComputeGraphStats(graph)).c_str());
@@ -397,24 +365,6 @@ int main(int argc, char** argv) {
   const int code = RunCommand(command, flags);
   // The reports are written even on failure: chaos tests read faults.*
   // counters and event records from runs that (deliberately) errored out.
-  int report_code = 0;
-  const std::string obs_json = flags.GetString("obs-json");
-  if (!obs_json.empty()) {
-    const Status status =
-        obs::WriteJson(obs_json, obs::MetricsRegistry::Default().Snapshot());
-    if (!status.ok()) {
-      std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-      report_code = ExitCodeFor(status);
-    }
-  }
-  const std::string events_json = flags.GetString("events-json");
-  if (!events_json.empty()) {
-    const Status status =
-        obs::WriteEventsJson(events_json, obs::CollectDefaultEventsReport());
-    if (!status.ok()) {
-      std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-      if (report_code == 0) report_code = ExitCodeFor(status);
-    }
-  }
+  const int report_code = tools::WriteReports(flags);
   return code != 0 ? code : report_code;
 }

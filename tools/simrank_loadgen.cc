@@ -30,15 +30,14 @@
 // 4 corruption, 5 deadline/degraded/overload-shed.
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "cli_common.h"
 #include "eval/datasets.h"
-#include "graph/io.h"
 #include "loadgen/loadgen.h"
 #include "obs/export.h"
-#include "obs/metrics.h"
 #include "service/query_engine.h"
 
 namespace {
@@ -60,26 +59,17 @@ int Fail(const std::string& message) {
 
 Result<DirectedGraph> BuildGraph(const Flags& flags) {
   if (!flags.positional().empty()) {
-    const std::string& path = flags.positional().front();
-    if (path.size() > 4 && path.substr(path.size() - 4) == ".bin") {
-      return LoadBinary(path);
-    }
-    return LoadEdgeListText(path);
+    return tools::LoadGraph(flags.positional().front());
+  }
+  const std::string family_name = flags.GetString("family", "web");
+  const std::optional<eval::DatasetFamily> family =
+      tools::ParseFamily(family_name);
+  if (!family.has_value()) {
+    return Status::InvalidArgument("unknown family " + family_name);
   }
   eval::DatasetSpec spec;
   spec.name = "loadgen";
-  const std::string family = flags.GetString("family", "web");
-  if (family == "collab") {
-    spec.family = eval::DatasetFamily::kCollaboration;
-  } else if (family == "social") {
-    spec.family = eval::DatasetFamily::kSocial;
-  } else if (family == "web") {
-    spec.family = eval::DatasetFamily::kWeb;
-  } else if (family == "citation") {
-    spec.family = eval::DatasetFamily::kCitation;
-  } else {
-    return Status::InvalidArgument("unknown family " + family);
-  }
+  spec.family = *family;
   spec.target_vertices = static_cast<Vertex>(flags.GetInt("n", 2000));
   spec.target_edges = flags.GetInt("m", 12000);
   spec.seed = flags.GetInt("graph-seed", 42);
@@ -248,13 +238,9 @@ int Run(int argc, char** argv) {
   engine_options.num_threads =
       static_cast<uint32_t>(flags.GetInt("threads", 0));
   engine_options.cache_capacity = flags.GetInt("cache-capacity", 4096);
-  const std::string backend = flags.GetString("backend", "mc");
-  const std::optional<BackendChoice> choice = ParseBackendChoice(backend);
-  if (!choice.has_value()) {
-    return Fail("--backend: expected auto, mc or exact; got '" +
-                backend + "'");
-  }
-  engine_options.backend = *choice;
+  const Result<BackendChoice> backend = tools::BackendFromFlags(flags);
+  if (!backend.ok()) return Fail(backend.status().message());
+  engine_options.backend = *backend;
   const std::string slo_spec = flags.GetString("slo");
   if (!slo_spec.empty()) {
     const Status status = ParseSlos(slo_spec, &engine_options.slos);
@@ -344,19 +330,8 @@ int Run(int argc, char** argv) {
         out, ServingJson(options, report, find_max ? &sustainable : nullptr));
     if (!status.ok()) code = Fail(status);
   }
-  const std::string events_json = flags.GetString("events-json");
-  if (!events_json.empty()) {
-    const Status status = obs::WriteEventsJson(
-        events_json, obs::CollectDefaultEventsReport());
-    if (!status.ok() && code == 0) code = Fail(status);
-  }
-  const std::string obs_json = flags.GetString("obs-json");
-  if (!obs_json.empty()) {
-    const Status status =
-        obs::WriteJson(obs_json, obs::MetricsRegistry::Default().Snapshot());
-    if (!status.ok() && code == 0) code = Fail(status);
-  }
-  return code;
+  const int report_code = tools::WriteReports(flags);
+  return code != 0 ? code : report_code;
 }
 
 }  // namespace

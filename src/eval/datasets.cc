@@ -25,8 +25,8 @@ std::vector<DatasetSpec> DatasetRegistry(double scale) {
         64, static_cast<uint64_t>(std::llround(n * scale))));
   };
   auto scaled_e = [scale](uint64_t m) {
-    return static_cast<uint64_t>(
-        std::max<uint64_t>(128, static_cast<uint64_t>(std::llround(m * scale))));
+    return static_cast<uint64_t>(std::max<uint64_t>(
+        128, static_cast<uint64_t>(std::llround(m * scale))));
   };
   std::vector<DatasetSpec> registry = {
       // --- small corpus: exact ground truth affordable ---

@@ -12,7 +12,9 @@ double RecallOfSet(const std::vector<ScoredVertex>& predicted,
   if (truth.empty()) return 1.0;
   std::unordered_set<uint32_t> predicted_ids;
   predicted_ids.reserve(predicted.size());
-  for (const ScoredVertex& entry : predicted) predicted_ids.insert(entry.vertex);
+  for (const ScoredVertex& entry : predicted) {
+    predicted_ids.insert(entry.vertex);
+  }
   size_t hits = 0;
   for (const ScoredVertex& entry : truth) {
     if (predicted_ids.count(entry.vertex) != 0) ++hits;

@@ -142,8 +142,8 @@ DirectedGraph MakeRmat(uint32_t scale, uint64_t m, Rng& rng,
       const double na = a * (1.0 + params.noise * (rng.UniformDouble() - 0.5));
       const double nb = b * (1.0 + params.noise * (rng.UniformDouble() - 0.5));
       const double nc = c * (1.0 + params.noise * (rng.UniformDouble() - 0.5));
-      const double nd =
-          (1.0 - a - b - c) * (1.0 + params.noise * (rng.UniformDouble() - 0.5));
+      const double nd = (1.0 - a - b - c) *
+                        (1.0 + params.noise * (rng.UniformDouble() - 0.5));
       const double total = na + nb + nc + nd;
       const double r = rng.UniformDouble() * total;
       row <<= 1;

@@ -130,9 +130,9 @@ Status SaveEdgeListText(const DirectedGraph& graph, const std::string& path) {
   SIMRANK_FAULT_POINT("io.save_edgelist");
   AtomicFileWriter writer(path);
   char line[64];
-  int len = std::snprintf(line, sizeof(line), "# simrank edge list: n=%u m=%llu\n",
-                          graph.NumVertices(),
-                          static_cast<unsigned long long>(graph.NumEdges()));
+  int len = std::snprintf(
+      line, sizeof(line), "# simrank edge list: n=%u m=%llu\n",
+      graph.NumVertices(), static_cast<unsigned long long>(graph.NumEdges()));
   writer.Append(line, static_cast<size_t>(len));
   for (Vertex u = 0; u < graph.NumVertices(); ++u) {
     for (Vertex v : graph.OutNeighbors(u)) {

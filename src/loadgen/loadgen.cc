@@ -169,10 +169,11 @@ Result<LoadReport> LoadGenerator::Run() {
   report.achieved_qps =
       wall_seconds > 0.0 ? static_cast<double>(executed_ok) / wall_seconds
                          : 0.0;
-  if (obs::IsEnabled() && !engine_.options().slos.empty()) {
-    const obs::WindowSnapshot window = obs::RollingWindow::Default().Snapshot(
-        obs::RollingWindow::NowSecond());
-    report.slos = window.slos;
+  if (obs::IsEnabled()) {
+    // The SLOs the process set on the window, evaluated over it.
+    report.slos = obs::RollingWindow::Default()
+                      .Snapshot(obs::RollingWindow::NowSecond())
+                      .slos;
     for (const obs::SloResult& slo : report.slos) {
       if (!slo.ok) report.slos_ok = false;
     }

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "loadgen/workload.h"
+#include "obs/rolling.h"
 #include "service/query_engine.h"
 
 namespace simrank::loadgen {
@@ -77,8 +78,9 @@ struct LoadReport {
   uint64_t arrivals = 0;
   ClassReport interactive;
   ClassReport batch;
-  /// SLO verdicts from the engine's rolling window at run end (empty
-  /// when the engine declares no SLOs or obs is disabled).
+  /// SLO verdicts from obs::RollingWindow::Default() at run end: the
+  /// SLOs the process set on it (empty when it set none or obs is
+  /// disabled).
   std::vector<obs::SloResult> slos;
   bool slos_ok = true;  ///< every declared SLO held at run end
 };

@@ -1,31 +1,25 @@
 #ifndef SIMRANK_OBS_EVENT_LOG_H_
 #define SIMRANK_OBS_EVENT_LOG_H_
 
-// Flight recorder: an always-on, fixed-size, sharded ring buffer of POD
-// per-query event records (docs/OBSERVABILITY.md, "Per-query events").
+// Flight recorder: an always-on, fixed-size ring buffer of POD per-query
+// event records (docs/OBSERVABILITY.md, "Per-query events").
 //
 // Aggregate metrics (metrics.h) answer "how is the service doing";
 // the flight recorder answers "what were the last N queries, exactly" —
 // the record a p999 investigation or a crash postmortem needs. Cost per
-// query is one uncontended shard mutex plus a 120-byte struct copy, which
-// is why it stays on whenever obs is (obs::SetEnabled): its cost is inside
+// query is one short mutex hold around a 120-byte struct copy, which is
+// why it stays on whenever obs is (obs::SetEnabled): its cost is inside
 // every engine timing, BM_EngineQuery and perfbench's end-to-end metrics
 // included.
 //
-// Sharding: each recording thread is pinned to one shard (round-robin at
-// first use), so writers on different threads never contend. Events carry
-// a process-wide sequence id assigned at Record() time; Snapshot() merges
-// the shards and sorts by id, which restores the global record order. The
-// "last N" guarantee is per shard: a shard keeps its own most recent
-// capacity()/num_shards() events.
+// One ring under one mutex: Record() assigns the sequence id under the
+// lock, so the ring is in id order and the last capacity() events are
+// kept whichever threads recorded them.
 //
 // Thread-safety: Record() and Snapshot() may race freely from any number
-// of threads (per-shard Mutex, verified under TSan by
-// tests/test_obs_events.cc).
+// of threads (verified under TSan by tests/test_obs_events.cc).
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -82,17 +76,14 @@ static_assert(sizeof(QueryEvent) <= 120);
 class EventLog {
  public:
   static constexpr size_t kDefaultCapacity = 4096;
-  static constexpr uint32_t kDefaultShards = 8;
 
   /// The process-wide recorder the serving layer fills (leaky singleton,
   /// like MetricsRegistry::Default()); the crash-time postmortem dump
   /// reads this instance.
   static EventLog& Default();
 
-  /// `capacity` total retained events, split evenly across `shards`
-  /// writer shards (both clamped to >= 1).
-  explicit EventLog(size_t capacity = kDefaultCapacity,
-                    uint32_t shards = kDefaultShards);
+  /// Retains the last `capacity` events (clamped to >= 1).
+  explicit EventLog(size_t capacity = kDefaultCapacity);
 
   EventLog(const EventLog&) = delete;
   EventLog& operator=(const EventLog&) = delete;
@@ -100,42 +91,27 @@ class EventLog {
   /// Records `event` (query_id is overwritten with the next sequence
   /// number) and returns the assigned id. Returns 0 — recording nothing —
   /// when obs is disabled.
-  uint64_t Record(QueryEvent event);
+  uint64_t Record(QueryEvent event) SIMRANK_EXCLUDES(mutex_);
 
-  /// The retained events, oldest first (sorted by query_id). Safe against
-  /// concurrent writers; the copy is taken shard by shard.
-  std::vector<QueryEvent> Snapshot() const;
+  /// The retained events, oldest first (ascending query_id). Safe against
+  /// concurrent writers.
+  std::vector<QueryEvent> Snapshot() const SIMRANK_EXCLUDES(mutex_);
 
   /// Events ever recorded (>= Snapshot().size(); the excess wrapped).
-  uint64_t TotalRecorded() const {
-    return sequence_.load(std::memory_order_relaxed);
-  }
+  uint64_t TotalRecorded() const SIMRANK_EXCLUDES(mutex_);
 
-  /// Total retained events across all shards.
-  size_t capacity() const { return shard_capacity_ * shards_.size(); }
-  uint32_t num_shards() const {
-    return static_cast<uint32_t>(shards_.size());
-  }
+  size_t capacity() const { return capacity_; }
 
   /// Drops every retained event and restarts the id sequence (tests).
-  void Clear();
+  void Clear() SIMRANK_EXCLUDES(mutex_);
 
  private:
-  struct Shard {
-    mutable Mutex mutex;
-    /// Fixed-size ring; slot (written - 1) % capacity is the newest.
-    std::vector<QueryEvent> ring SIMRANK_GUARDED_BY(mutex);
-    /// Events ever written to this shard.
-    uint64_t written SIMRANK_GUARDED_BY(mutex) = 0;
-  };
-
-  Shard& ShardForThisThread();
-
-  std::atomic<uint64_t> sequence_{0};
-  std::atomic<uint32_t> next_shard_{0};
-  size_t shard_capacity_;
-  /// unique_ptr: Shard holds a Mutex and must not move after construction.
-  std::vector<std::unique_ptr<Shard>> shards_;
+  const size_t capacity_;
+  mutable Mutex mutex_;
+  /// Fixed-size ring; slot (written_ - 1) % capacity_ holds the newest
+  /// event, whose id is written_.
+  std::vector<QueryEvent> ring_ SIMRANK_GUARDED_BY(mutex_);
+  uint64_t written_ SIMRANK_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace simrank::obs

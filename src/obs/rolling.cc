@@ -6,7 +6,6 @@
 #include <cstring>
 
 #include "obs/event_log.h"
-#include "util/check.h"
 
 namespace simrank::obs {
 
@@ -58,19 +57,27 @@ RollingWindow::RollingWindow(uint32_t num_buckets, uint32_t bucket_seconds)
   buckets_.resize(num_buckets_);
 }
 
-void RollingWindow::SetSlos(std::vector<SloSpec> slos) {
+Status RollingWindow::SetSlos(std::vector<SloSpec> slos) {
+  for (const SloSpec& spec : slos) {
+    const bool name_ok =
+        !spec.name.empty() && std::ranges::all_of(spec.name, [](char c) {
+          return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_';
+        });
+    if (!name_ok) {
+      return Status::InvalidArgument("SLO name '" + spec.name +
+                                     "' must match [a-z0-9_]+ (it becomes "
+                                     "part of a metric name)");
+    }
+    if (!std::isfinite(spec.threshold) || spec.threshold < 0.0) {
+      return Status::InvalidArgument("SLO '" + spec.name +
+                                     "': threshold must be finite and >= 0");
+    }
+  }
   MutexLock lock(mutex_);
   slos_ = std::move(slos);
   gauges_.clear();
   gauges_.reserve(slos_.size());
   for (const SloSpec& spec : slos_) {
-    SIMRANK_CHECK(!spec.name.empty());
-    for (char c : spec.name) {
-      const bool ok =
-          (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_';
-      SIMRANK_CHECK(ok);
-    }
-    SIMRANK_CHECK(std::isfinite(spec.threshold));
     const std::string base = "service.slo." + spec.name;
     BoundGauges bound;
     bound.ok = &MetricsRegistry::Default().GetGauge(base + ".ok");
@@ -82,6 +89,7 @@ void RollingWindow::SetSlos(std::vector<SloSpec> slos) {
   // Publish immediately so the gauges are well-defined (vacuously ok)
   // before any traffic arrives.
   PublishLocked(SnapshotLocked(NowSecond()));
+  return Status::OK();
 }
 
 std::vector<SloSpec> RollingWindow::slos() const {

@@ -30,6 +30,7 @@
 
 #include "obs/metrics.h"
 #include "util/mutex.h"
+#include "util/status.h"
 #include "util/thread_annotations.h"
 
 namespace simrank::obs {
@@ -110,11 +111,12 @@ class RollingWindow {
   RollingWindow(const RollingWindow&) = delete;
   RollingWindow& operator=(const RollingWindow&) = delete;
 
-  /// Replaces the evaluated objectives and (re)binds their gauges.
-  /// Precondition (CHECK): every spec has a [a-z0-9_]+ name and a finite
-  /// threshold — the serving layer validates user input before calling.
-  /// Gauges are updated immediately (vacuously ok on an empty window).
-  void SetSlos(std::vector<SloSpec> slos) SIMRANK_EXCLUDES(mutex_);
+  /// Replaces the evaluated objectives and (re)binds their gauges, which
+  /// are updated immediately (vacuously ok on an empty window). The
+  /// process that owns the window sets them (a CLI tool, a test): engines
+  /// only record into it. InvalidArgument, changing nothing, unless every
+  /// spec has a [a-z0-9_]+ name and a finite threshold >= 0.
+  Status SetSlos(std::vector<SloSpec> slos) SIMRANK_EXCLUDES(mutex_);
   std::vector<SloSpec> slos() const SIMRANK_EXCLUDES(mutex_);
 
   /// Accounts one finished request into the bucket of `now_second`.
@@ -130,7 +132,7 @@ class RollingWindow {
       SIMRANK_EXCLUDES(mutex_);
 
   /// Re-evaluates the SLOs and refreshes the gauges without building a
-  /// snapshot (e.g. on engine shutdown).
+  /// snapshot (e.g. before a tool writes its final metrics snapshot).
   void UpdateGauges(uint64_t now_second) const SIMRANK_EXCLUDES(mutex_);
 
   uint32_t num_buckets() const { return num_buckets_; }

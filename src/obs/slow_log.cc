@@ -1,6 +1,7 @@
 #include "obs/slow_log.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -15,7 +16,19 @@ SlowQueryLog& SlowQueryLog::Default() {
 SlowQueryLog::SlowQueryLog(size_t capacity)
     : capacity_(capacity < 1 ? 1 : capacity) {}
 
-void SlowQueryLog::Configure(uint64_t threshold_ns, size_t capacity) {
+Status SlowQueryLog::Configure(double threshold_seconds, size_t capacity) {
+  // !(x >= 0) also rejects NaN.
+  if (!(threshold_seconds >= 0.0) || !std::isfinite(threshold_seconds)) {
+    return Status::InvalidArgument(
+        "slow-query threshold must be finite and >= 0 seconds");
+  }
+  // A positive threshold arms the log: below 1 ns it rounds up to 1 ns,
+  // not down to the 0 that disarms it.
+  const uint64_t threshold_ns =
+      threshold_seconds > 0.0
+          ? static_cast<uint64_t>(
+                std::clamp(threshold_seconds * 1e9, 1.0, 0x1p63))
+          : 0;
   if (capacity < 1) capacity = 1;
   {
     MutexLock lock(mutex_);
@@ -31,6 +44,7 @@ void SlowQueryLog::Configure(uint64_t threshold_ns, size_t capacity) {
     }
   }
   threshold_ns_.store(threshold_ns, std::memory_order_relaxed);
+  return Status::OK();
 }
 
 bool SlowQueryLog::Offer(SlowQueryRecord record) {

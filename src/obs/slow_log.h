@@ -21,6 +21,7 @@
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "util/mutex.h"
+#include "util/status.h"
 #include "util/thread_annotations.h"
 
 namespace simrank::obs {
@@ -45,9 +46,12 @@ class SlowQueryLog {
   SlowQueryLog(const SlowQueryLog&) = delete;
   SlowQueryLog& operator=(const SlowQueryLog&) = delete;
 
-  /// Sets the slow threshold (ns) and reservoir size. threshold_ns == 0
-  /// disarms the log. capacity is clamped to >= 1.
-  void Configure(uint64_t threshold_ns, size_t capacity)
+  /// Sets the slow threshold and the reservoir size. The process that
+  /// owns the log sets them (a CLI tool, a test): engines only offer to
+  /// it. A threshold of 0 disarms the log; a positive one below 1 ns arms
+  /// it at 1 ns. capacity is clamped to >= 1. InvalidArgument, changing
+  /// nothing, for a negative or non-finite threshold.
+  Status Configure(double threshold_seconds, size_t capacity)
       SIMRANK_EXCLUDES(mutex_);
 
   /// True when the log retains records (obs enabled, threshold

@@ -114,6 +114,21 @@ AdmissionDecision AdmissionController::Admit(PriorityClass priority,
   // service is otherwise healthy, so quota violations are visible as
   // such instead of surfacing later as queue-full sheds for everyone.
   if (options_.client_rate > 0.0 && client_hash != 0) {
+    if (now_seconds >= next_sweep_seconds_) {
+      // A bucket that has refilled to capacity is the state a new client
+      // starts in, so dropping it changes no decision. Sweeping once per
+      // refill period keeps the cost amortized O(1) per admit: a bucket
+      // untouched for a whole period has refilled, so every bucket a
+      // sweep keeps was admitted since the last one.
+      std::erase_if(buckets_, [&](const auto& entry) {
+        const TokenBucket& bucket = entry.second;
+        const double elapsed = now_seconds - bucket.last_refill_seconds;
+        return bucket.tokens + elapsed * options_.client_rate >=
+               bucket_capacity_;
+      });
+      next_sweep_seconds_ =
+          now_seconds + bucket_capacity_ / options_.client_rate;
+    }
     auto [it, inserted] = buckets_.try_emplace(client_hash);
     TokenBucket& bucket = it->second;
     if (inserted) {

@@ -13,6 +13,8 @@
 //   - Per-client token buckets: each distinct client id gets
 //     `client_rate` requests/second with `client_burst` of headroom;
 //     one abusive client is rate-limited before it can starve the rest.
+//     A bucket that has refilled is dropped, so memory follows the
+//     clients of the last refill period, not every id ever seen.
 //   - An SLO-feedback degradation controller: interactive completion
 //     latency is folded into a per-second window, and when the window's
 //     p99 breaches `target_p99_seconds` for `breach_steps` consecutive
@@ -193,7 +195,9 @@ class AdmissionController {
   /// Submitted-but-not-started requests currently charged to `priority`.
   size_t queue_depth(PriorityClass priority) const SIMRANK_EXCLUDES(mutex_);
 
-  /// Distinct clients currently holding a token bucket.
+  /// Distinct clients currently holding a token bucket. Buckets that
+  /// have refilled to capacity are dropped, once per refill period
+  /// (client_burst / client_rate seconds).
   size_t tracked_clients() const SIMRANK_EXCLUDES(mutex_);
 
   const AdmissionOptions& options() const { return options_; }
@@ -215,6 +219,8 @@ class AdmissionController {
   size_t queued_[kNumPriorityClasses] SIMRANK_GUARDED_BY(mutex_) = {};
   std::unordered_map<uint64_t, TokenBucket> buckets_
       SIMRANK_GUARDED_BY(mutex_);
+  /// When Admit next drops the buckets that have refilled.
+  double next_sweep_seconds_ SIMRANK_GUARDED_BY(mutex_) = 0.0;
   /// Interactive completion latencies of the current second, in
   /// obs::Histogram's log-linear buckets (the p99 source).
   uint64_t window_hist_[obs::Histogram::kNumBuckets]

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <string>
 #include <thread>
 #include <utility>
@@ -11,6 +10,7 @@
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/phase.h"
+#include "obs/rolling.h"
 #include "obs/slow_log.h"
 #include "service/result_cache.h"
 #include "simrank/backend_mc.h"
@@ -80,10 +80,6 @@ size_t ResolveThreads(uint32_t num_threads) {
   return hw > 0 ? hw : 1;
 }
 
-/// Result cache shards: a key hashes to one, so lookups on different
-/// shards never contend.
-constexpr uint32_t kCacheShards = 8;
-
 uint64_t Nanos(EngineClock::duration duration) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(duration).count());
@@ -104,31 +100,7 @@ Status ValidateEngineOptions(const EngineOptions& options) {
     return Status::InvalidArgument(
         "EngineOptions::backend is not a registered backend");
   }
-  // !(x >= 0) also rejects NaN.
-  if (!(options.slow_log_threshold_seconds >= 0.0)) {
-    return Status::InvalidArgument(
-        "EngineOptions::slow_log_threshold_seconds must be >= 0");
-  }
-  SIMRANK_RETURN_IF_ERROR(options.admission.Validate());
-  for (const obs::SloSpec& spec : options.slos) {
-    if (spec.name.empty()) {
-      return Status::InvalidArgument("SloSpec::name must not be empty");
-    }
-    for (const char c : spec.name) {
-      const bool ok =
-          (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_';
-      if (!ok) {
-        return Status::InvalidArgument("SloSpec::name '" + spec.name +
-                                       "' must match [a-z0-9_]+ (it becomes "
-                                       "part of a metric name)");
-      }
-    }
-    if (!std::isfinite(spec.threshold) || spec.threshold < 0.0) {
-      return Status::InvalidArgument("SloSpec '" + spec.name +
-                                     "': threshold must be finite and >= 0");
-    }
-  }
-  return Status::OK();
+  return options.admission.Validate();
 }
 
 Result<std::unique_ptr<QueryEngine>> QueryEngine::Create(
@@ -165,27 +137,11 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Finish(
     std::unique_ptr<QueryEngine> engine) {
   if (engine->options_.cache_capacity > 0) {
     engine->cache_ = std::make_unique<ResultCache>(
-        engine->options_.cache_capacity, kCacheShards);
+        engine->options_.cache_capacity);
   }
   if (engine->options_.admission.any_enabled()) {
     engine->admission_ =
         std::make_unique<AdmissionController>(engine->options_.admission);
-  }
-  // The event sinks are process-wide (like the metrics registry): engines
-  // configure them, the CLI / postmortem hook read them without needing an
-  // engine reference.
-  if (engine->options_.slow_log_threshold_seconds > 0.0) {
-    // A positive threshold must arm the log: sub-nanosecond values (e.g.
-    // 1e-12 in tests) round up to 1 ns instead of truncating to the 0 that
-    // means "disarmed".
-    const uint64_t threshold_ns = std::max<uint64_t>(
-        1, static_cast<uint64_t>(
-               engine->options_.slow_log_threshold_seconds * 1e9));
-    obs::SlowQueryLog::Default().Configure(threshold_ns,
-                                           engine->options_.slow_log_capacity);
-  }
-  if (!engine->options_.slos.empty()) {
-    obs::RollingWindow::Default().SetSlos(engine->options_.slos);
   }
   // Resolve and build the primary backend. kAuto applies SelectBackend's
   // size rule: a pass over the graph's summary stats is O(n + m), noise
@@ -234,14 +190,7 @@ const TopKSearcher& QueryEngine::searcher() const {
       .searcher();
 }
 
-QueryEngine::~QueryEngine() {
-  // Final gauge publication: a short-lived engine (one CLI query) never
-  // rolls a window bucket, so without this the service.slo.* gauges in an
-  // end-of-run obs snapshot would be stale or absent.
-  if (!options_.slos.empty()) {
-    obs::RollingWindow::Default().UpdateGauges(obs::RollingWindow::NowSecond());
-  }
-}
+QueryEngine::~QueryEngine() = default;
 
 Status QueryEngine::ValidateRequest(const QueryRequest& request) const {
   if (request.vertices.empty()) {

@@ -5,8 +5,8 @@
 // is built on, layered over the pluggable SearcherBackend contract.
 //
 // The engine owns a set of query backends (the Monte-Carlo kernel and the
-// exact oracle — see simrank/searcher_backend.h), a thread pool and a
-// sharded LRU result cache. Backends answer single-vertex top-k only;
+// exact oracle — see simrank/searcher_backend.h), a thread pool and an LRU
+// result cache. Backends answer single-vertex top-k only;
 // group requests are composed here, by score-sum voting over the
 // members' rankings.
 // Which backend serves is decided by EngineOptions::backend — a concrete
@@ -32,6 +32,11 @@
 // returns Result instead of aborting; no public entry point of the engine
 // CHECK-fails on user input.
 //
+// Every request is recorded into the process-wide telemetry sinks
+// (obs::EventLog, obs::RollingWindow, obs::SlowQueryLog), which the
+// engine never configures: the process that owns them (a CLI tool, a
+// test) sets the slow-query threshold and the SLOs.
+//
 // Thread-safety: every public method may be called concurrently from any
 // number of threads. RunAllPairs/RunAllPairsToFile/PrewarmCache must not
 // be called from inside one of the engine's own pool tasks (they block on
@@ -50,7 +55,6 @@
 #include <array>
 
 #include "graph/graph.h"
-#include "obs/rolling.h"
 #include "service/admission.h"
 #include "simrank/all_pairs.h"
 #include "simrank/searcher_backend.h"
@@ -219,23 +223,11 @@ struct EngineOptions {
   /// The zero value disables all of it, keeping default serving
   /// behavior bit-identical to earlier releases.
   AdmissionOptions admission;
-
-  /// Slow-query log: queries slower than this are offered, with their
-  /// event and its phase timings, to obs::SlowQueryLog::Default(), which
-  /// retains the `slow_log_capacity` slowest. 0 disarms (the default).
-  double slow_log_threshold_seconds = 0.0;
-  size_t slow_log_capacity = 16;
-
-  /// Service-level objectives evaluated over the default rolling window
-  /// and exported as `service.slo.<name>.*` gauges. Names must be
-  /// [a-z0-9_]+ and thresholds finite and >= 0 (validated at engine
-  /// creation).
-  std::vector<obs::SloSpec> slos;
 };
 
-/// Validates the serving knobs of `options` (backend, slow-log threshold,
-/// admission, SLO specs). Engine factories call this; exposed so CLIs can
-/// validate user input before building anything.
+/// Validates `options` (search options, backend, admission). Engine
+/// factories call this; exposed so CLIs can validate user input before
+/// building anything.
 Status ValidateEngineOptions(const EngineOptions& options);
 
 class QueryEngine {

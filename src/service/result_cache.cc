@@ -1,9 +1,6 @@
 #include "service/result_cache.h"
 
-#include <algorithm>
-
 #include "obs/metrics.h"
-#include "util/check.h"
 
 namespace simrank::service {
 
@@ -53,34 +50,18 @@ size_t CacheKeyHash::operator()(const CacheKey& key) const {
   return static_cast<size_t>(h);
 }
 
-ResultCache::ResultCache(size_t capacity, uint32_t num_shards)
-    : capacity_(capacity) {
-  SIMRANK_CHECK_GE(num_shards, 1u);
-  // Never more shards than entries, so a tiny cache still evicts sanely.
-  const size_t shards =
-      std::max<size_t>(1, std::min<size_t>(num_shards, capacity));
-  per_shard_capacity_ = (capacity + shards - 1) / shards;
-  shards_.reserve(shards);
-  for (size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-ResultCache::Shard& ResultCache::ShardFor(const CacheKey& key) {
-  return *shards_[CacheKeyHash()(key) % shards_.size()];
-}
+ResultCache::ResultCache(size_t capacity) : capacity_(capacity) {}
 
 bool ResultCache::Lookup(const CacheKey& key,
                          std::vector<ScoredVertex>* out) {
   CacheMetrics& metrics = GetCacheMetrics();
-  Shard& shard = ShardFor(key);
-  MutexLock lock(shard.mutex);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
+  MutexLock lock(mutex_);
+  auto it = index_.find(key);
+  if (it == index_.end()) {
     metrics.misses.Add(1);
     return false;
   }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  lru_.splice(lru_.begin(), lru_, it->second);
   *out = it->second->second;
   metrics.hits.Add(1);
   return true;
@@ -89,39 +70,32 @@ bool ResultCache::Lookup(const CacheKey& key,
 void ResultCache::Insert(const CacheKey& key, std::vector<ScoredVertex> top) {
   if (capacity_ == 0) return;
   CacheMetrics& metrics = GetCacheMetrics();
-  Shard& shard = ShardFor(key);
-  MutexLock lock(shard.mutex);
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
+  MutexLock lock(mutex_);
+  auto it = index_.find(key);
+  if (it != index_.end()) {
     it->second->second = std::move(top);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  if (shard.lru.size() >= per_shard_capacity_) {
-    shard.index.erase(shard.lru.back().first);
-    shard.lru.pop_back();
+  if (lru_.size() >= capacity_) {
+    index_.erase(lru_.back().first);
+    lru_.pop_back();
     metrics.evictions.Add(1);
   }
-  shard.lru.emplace_front(key, std::move(top));
-  shard.index.emplace(key, shard.lru.begin());
+  lru_.emplace_front(key, std::move(top));
+  index_.emplace(key, lru_.begin());
   metrics.insertions.Add(1);
 }
 
 void ResultCache::Clear() {
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    MutexLock lock(shard->mutex);
-    shard->lru.clear();
-    shard->index.clear();
-  }
+  MutexLock lock(mutex_);
+  lru_.clear();
+  index_.clear();
 }
 
 size_t ResultCache::size() const {
-  size_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    MutexLock lock(shard->mutex);
-    total += shard->lru.size();
-  }
-  return total;
+  MutexLock lock(mutex_);
+  return lru_.size();
 }
 
 }  // namespace simrank::service

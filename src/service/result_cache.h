@@ -1,20 +1,19 @@
 #ifndef SIMRANK_SERVICE_RESULT_CACHE_H_
 #define SIMRANK_SERVICE_RESULT_CACHE_H_
 
-// Sharded LRU cache of query rankings for the serving engine.
+// LRU cache of query rankings for the serving engine.
 //
 // Keys are the full semantic identity of a query: the query vertices plus
 // the *effective* runtime options (k, threshold) after per-request
 // overrides — two requests that would compute different rankings never
-// share an entry. Sharding bounds lock contention: a key hashes to one
-// shard, each shard holds its own mutex, LRU list and map, so concurrent
-// lookups on different shards never serialize. Hit/miss/insert/evict
-// counts are published as "service.cache.*" in obs::MetricsRegistry.
+// share an entry. One LRU list and one index under one mutex: the cache
+// never holds more than its capacity, and a full cache evicts its least
+// recently used entry. Hit/miss/insert/evict counts are published as
+// "service.cache.*" in obs::MetricsRegistry.
 
 #include <cstddef>
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -48,27 +47,27 @@ struct CacheKeyHash {
 
 class ResultCache {
  public:
-  /// `capacity` is the total entry budget, split evenly across
-  /// `num_shards` shards (each shard evicts independently, so the
-  /// instantaneous total can sit slightly below capacity under skew).
-  ResultCache(size_t capacity, uint32_t num_shards);
+  /// Holds at most `capacity` entries; 0 caches nothing.
+  explicit ResultCache(size_t capacity);
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
   /// On hit, copies the cached ranking into `*out`, promotes the key to
   /// most-recently-used and returns true. Thread-safe.
-  bool Lookup(const CacheKey& key, std::vector<ScoredVertex>* out);
+  bool Lookup(const CacheKey& key, std::vector<ScoredVertex>* out)
+      SIMRANK_EXCLUDES(mutex_);
 
-  /// Inserts or refreshes `key`'s ranking, evicting the shard's
-  /// least-recently-used entry when the shard is full. Thread-safe.
-  void Insert(const CacheKey& key, std::vector<ScoredVertex> top);
+  /// Inserts or refreshes `key`'s ranking, evicting the least-recently-used
+  /// entry when the cache is full. Thread-safe.
+  void Insert(const CacheKey& key, std::vector<ScoredVertex> top)
+      SIMRANK_EXCLUDES(mutex_);
 
   /// Drops every entry (the invalidation path for graph/index swaps).
-  void Clear();
+  void Clear() SIMRANK_EXCLUDES(mutex_);
 
-  /// Entries currently held across all shards.
-  size_t size() const;
+  /// Entries currently held.
+  size_t size() const SIMRANK_EXCLUDES(mutex_);
   size_t capacity() const { return capacity_; }
 
  private:
@@ -76,19 +75,12 @@ class ResultCache {
   /// nothing, so it reports no stats.
   using Entry = std::pair<CacheKey, std::vector<ScoredVertex>>;
 
-  struct Shard {
-    mutable Mutex mutex;
-    /// Front = most recently used.
-    std::list<Entry> lru SIMRANK_GUARDED_BY(mutex);
-    std::unordered_map<CacheKey, std::list<Entry>::iterator, CacheKeyHash>
-        index SIMRANK_GUARDED_BY(mutex);
-  };
-
-  Shard& ShardFor(const CacheKey& key);
-
-  size_t capacity_;
-  size_t per_shard_capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  const size_t capacity_;
+  mutable Mutex mutex_;
+  /// Front = most recently used.
+  std::list<Entry> lru_ SIMRANK_GUARDED_BY(mutex_);
+  std::unordered_map<CacheKey, std::list<Entry>::iterator, CacheKeyHash>
+      index_ SIMRANK_GUARDED_BY(mutex_);
 };
 
 }  // namespace simrank::service

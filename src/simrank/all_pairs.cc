@@ -44,7 +44,8 @@ class ProgressReporter {
       : callback_(options.progress), interval_(options.progress_interval) {}
 
   void OnCompleted() SIMRANK_EXCLUDES(mutex_) {
-    const uint64_t done = completed_.fetch_add(1, std::memory_order_relaxed) + 1;
+    const uint64_t done =
+        completed_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (callback_ == nullptr || interval_ == 0 || done % interval_ != 0) {
       return;
     }

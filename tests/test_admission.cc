@@ -167,6 +167,37 @@ TEST(AdmissionControllerTest, AnonymousClientBypassesRateLimits) {
   EXPECT_EQ(controller.tracked_clients(), 0u);
 }
 
+TEST(AdmissionControllerTest, RefilledBucketsAreDropped) {
+  AdmissionOptions options;
+  options.client_rate = 1.0;
+  options.client_burst = 2.0;  // a drained bucket refills in 2 s
+  AdmissionController controller(options);
+
+  // 10,000 one-off clients, each leaving a bucket one token short.
+  for (uint64_t client = 1; client <= 10'000; ++client) {
+    ASSERT_EQ(controller.Admit(PriorityClass::kInteractive, client, 0.0,
+                               /*will_queue=*/false),
+              AdmissionDecision::kAdmitted);
+  }
+  EXPECT_EQ(controller.tracked_clients(), 10'000u);
+
+  // Past the refill time every bucket is full again, the state a new
+  // client starts in: the next admit drops them all.
+  EXPECT_EQ(controller.Admit(PriorityClass::kInteractive, 10'001, 2.5,
+                             false),
+            AdmissionDecision::kAdmitted);
+  EXPECT_EQ(controller.tracked_clients(), 1u);
+
+  // A dropped client is admitted exactly as if it had kept its bucket:
+  // a full burst of 2, then the rate limit.
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(controller.Admit(PriorityClass::kInteractive, 1, 2.5, false),
+              AdmissionDecision::kAdmitted);
+  }
+  EXPECT_EQ(controller.Admit(PriorityClass::kInteractive, 1, 2.5, false),
+            AdmissionDecision::kShedRateLimited);
+}
+
 // -------------------------------------------------------------- queue bounds
 
 TEST(AdmissionControllerTest, PerClassBacklogBounds) {
@@ -304,7 +335,8 @@ TEST_F(FeedbackTest, MixedBreachResetsTheRecoveryStreak) {
   // rolls them, so each CompleteSecond below scores the previous one.
   CompleteSecond(controller, 0.5, 8, 0.010);   // second 0: slow
   CompleteSecond(controller, 1.5, 8, 0.010);   // rolls s0: breach 1/2
-  CompleteSecond(controller, 2.5, 8, 0.0001);  // rolls s1: breach 2/2 -> level 1
+  // Rolls s1: breach 2/2 -> level 1.
+  CompleteSecond(controller, 2.5, 8, 0.0001);
   ASSERT_EQ(controller.level(), DegradationLevel::kDegradeBatch);
   // healthy (s2), breach (s3), healthy (s4): two healthy seconds total,
   // but the breach in between resets the streak, so recover_steps=2 is

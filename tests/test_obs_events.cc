@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -63,7 +64,7 @@ QueryEvent MakeEvent(uint64_t duration_ns, uint8_t flags = 0,
 // --- EventLog ---------------------------------------------------------------
 
 TEST(EventLogTest, RecordAssignsIncreasingIds) {
-  EventLog log(64, 4);
+  EventLog log(64);
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(log.Record(MakeEvent(100)), static_cast<uint64_t>(i + 1));
   }
@@ -75,33 +76,54 @@ TEST(EventLogTest, RecordAssignsIncreasingIds) {
   }
 }
 
-TEST(EventLogTest, WraparoundKeepsNewestEvents) {
-  // Single shard so the ring order is the global order.
-  EventLog log(8, 1);
+TEST(EventLogTest, OneThreadKeepsTheLastCapacityEvents) {
+  EventLog log(8);
   EXPECT_EQ(log.capacity(), 8u);
-  for (int i = 0; i < 20; ++i) log.Record(MakeEvent(100 + i));
-  EXPECT_EQ(log.TotalRecorded(), 20u);
+  for (int i = 0; i < 16; ++i) log.Record(MakeEvent(100 + i));
+  EXPECT_EQ(log.TotalRecorded(), 16u);
   std::vector<QueryEvent> events = log.Snapshot();
   ASSERT_EQ(events.size(), 8u);
-  // The 8 newest records (ids 13..20), oldest first.
+  // The 8 newest records (ids 9..16), oldest first.
   for (size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].query_id, 13 + i);
-    EXPECT_EQ(events[i].duration_ns, 100 + 12 + i);
+    EXPECT_EQ(events[i].query_id, 9 + i);
+    EXPECT_EQ(events[i].duration_ns, 100 + 8 + i);
   }
 }
 
-TEST(EventLogTest, CapacityIsClampedToShardCount) {
-  EventLog log(3, 8);  // fewer slots than shards: one slot per shard
-  EXPECT_EQ(log.num_shards(), 8u);
-  EXPECT_EQ(log.capacity(), 8u);
+TEST(EventLogTest, CapacityIsClampedToOne) {
+  EventLog log(0);
+  EXPECT_EQ(log.capacity(), 1u);
+  log.Record(MakeEvent(1));
+  log.Record(MakeEvent(2));
+  const std::vector<QueryEvent> events = log.Snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].query_id, 2u);
+}
 
-  EventLog degenerate(0, 0);  // both clamp to >= 1
-  EXPECT_EQ(degenerate.num_shards(), 1u);
-  EXPECT_EQ(degenerate.capacity(), 1u);
+// The last capacity() events, ids first - capacity() + 1 .. last in order.
+void ExpectLastEvents(const EventLog& log, uint64_t last) {
+  const std::vector<QueryEvent> events = log.Snapshot();
+  ASSERT_EQ(events.size(), log.capacity());
+  for (size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].query_id, last - log.capacity() + 1 + i);
+  }
+}
+
+TEST(EventLogTest, FourThreadsKeepTheLastCapacityEvents) {
+  EventLog log(64);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&log] {
+      for (int i = 0; i < 50; ++i) log.Record(MakeEvent(100));
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(log.TotalRecorded(), 200u);
+  ExpectLastEvents(log, 200);
 }
 
 TEST(EventLogTest, KillSwitchesDisableRecording) {
-  EventLog log(16, 2);
+  EventLog log(16);
 
   obs::SetEnabled(false);
   EXPECT_EQ(log.Record(MakeEvent(1)), 0u);
@@ -113,7 +135,7 @@ TEST(EventLogTest, KillSwitchesDisableRecording) {
 }
 
 TEST(EventLogTest, ClearRestartsSequence) {
-  EventLog log(16, 2);
+  EventLog log(16);
   log.Record(MakeEvent(1));
   log.Record(MakeEvent(2));
   log.Clear();
@@ -124,8 +146,8 @@ TEST(EventLogTest, ClearRestartsSequence) {
 
 TEST(EventLogStressTest, ConcurrentWritersAndSnapshotters) {
   // TSan target: writers race Record against Snapshot readers; asserts
-  // the merged view is always id-sorted and within capacity.
-  EventLog log(256, 4);
+  // the view is always id-sorted and within capacity.
+  EventLog log(256);
   constexpr int kWriters = 4;
   constexpr int kPerWriter = 5000;
   std::atomic<bool> stop{false};
@@ -155,9 +177,7 @@ TEST(EventLogStressTest, ConcurrentWritersAndSnapshotters) {
 
   EXPECT_EQ(log.TotalRecorded(),
             static_cast<uint64_t>(kWriters) * kPerWriter);
-  std::vector<QueryEvent> events = log.Snapshot();
-  EXPECT_LE(events.size(), log.capacity());
-  EXPECT_FALSE(events.empty());
+  ExpectLastEvents(log, static_cast<uint64_t>(kWriters) * kPerWriter);
 }
 
 // --- RollingWindow ----------------------------------------------------------
@@ -206,7 +226,7 @@ TEST(RollingWindowTest, LatencySloViolationFlipsGauge) {
   spec.name = "test_ev_p99";
   spec.objective = SloSpec::Objective::kLatencyP99;
   spec.threshold = 0.001;  // 1 ms
-  window.SetSlos({spec});
+  ASSERT_TRUE(window.SetSlos({spec}).ok());
 
   window.Record(200, 2'000'000, 0, 0);  // 2 ms > 1 ms threshold
   WindowSnapshot snapshot = window.Snapshot(200);
@@ -228,7 +248,7 @@ TEST(RollingWindowTest, RateSlosAndVacuousOk) {
   errors.name = "test_ev_errors";
   errors.objective = SloSpec::Objective::kErrorRate;
   errors.threshold = 0.10;
-  window.SetSlos({errors});
+  ASSERT_TRUE(window.SetSlos({errors}).ok());
 
   // Empty window: vacuously ok.
   WindowSnapshot empty = window.Snapshot(300);
@@ -248,6 +268,31 @@ TEST(RollingWindowTest, RateSlosAndVacuousOk) {
   obs::MetricsSnapshot metrics = obs::MetricsRegistry::Default().Snapshot();
   EXPECT_EQ(metrics.gauges["service.slo.test_ev_errors.ok"], 0);
   EXPECT_EQ(metrics.gauges["service.slo.test_ev_errors.value_ppm"], 250000);
+}
+
+TEST(RollingWindowTest, SetSlosRejectsBadSpecs) {
+  RollingWindow window(4, 1);
+  SloSpec good;
+  good.name = "test_ev_good";
+  good.threshold = 0.5;
+  ASSERT_TRUE(window.SetSlos({good}).ok());
+
+  const auto rejected = [&window](std::string name, double threshold) {
+    SloSpec spec;
+    spec.name = std::move(name);
+    spec.threshold = threshold;
+    return window.SetSlos({spec}).code() == StatusCode::kInvalidArgument;
+  };
+  EXPECT_TRUE(rejected("", 0.5));
+  EXPECT_TRUE(rejected("Bad Name", 0.5));  // not [a-z0-9_]+
+  EXPECT_TRUE(rejected("p99.tail", 0.5));
+  EXPECT_TRUE(rejected("test_ev_bad", -0.1));
+  EXPECT_TRUE(rejected("test_ev_bad", std::nan("")));
+  EXPECT_TRUE(rejected("test_ev_bad", HUGE_VAL));
+  // A refused set changes nothing.
+  const std::vector<SloSpec> kept = window.slos();
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_EQ(kept[0].name, "test_ev_good");
 }
 
 TEST(RollingWindowTest, KillSwitchDisablesRecording) {
@@ -298,7 +343,8 @@ SlowQueryRecord MakeSlowRecord(uint64_t duration_ns) {
 
 TEST(SlowQueryLogTest, RetainsTopNSlowest) {
   SlowQueryLog log(4);
-  log.Configure(1000, 2);
+  ASSERT_TRUE(log.Configure(1e-6, 2).ok());
+  EXPECT_EQ(log.threshold_ns(), 1000u);
   EXPECT_EQ(log.capacity(), 2u);
 
   EXPECT_FALSE(log.Offer(MakeSlowRecord(500)));   // under threshold
@@ -318,7 +364,7 @@ TEST(SlowQueryLogTest, DisarmedAndKillSwitchedLogRejects) {
   EXPECT_FALSE(log.armed());  // threshold defaults to 0
   EXPECT_FALSE(log.Offer(MakeSlowRecord(1'000'000)));
 
-  log.Configure(1000, 4);
+  ASSERT_TRUE(log.Configure(1e-6, 4).ok());
   EXPECT_TRUE(log.armed());
   obs::SetEnabled(false);
   EXPECT_FALSE(log.armed());
@@ -332,15 +378,34 @@ TEST(SlowQueryLogTest, DisarmedAndKillSwitchedLogRejects) {
 
 TEST(SlowQueryLogTest, ShrinkingCapacityKeepsSlowest) {
   SlowQueryLog log(8);
-  log.Configure(1, 8);
+  ASSERT_TRUE(log.Configure(1e-9, 8).ok());
   for (uint64_t d = 100; d <= 800; d += 100) {
     EXPECT_TRUE(log.Offer(MakeSlowRecord(d)));
   }
-  log.Configure(1, 2);
+  ASSERT_TRUE(log.Configure(1e-9, 2).ok());
   std::vector<SlowQueryRecord> records = log.Snapshot();
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].event.duration_ns, 800u);
   EXPECT_EQ(records[1].event.duration_ns, 700u);
+}
+
+TEST(SlowQueryLogTest, ConfigureTakesSecondsAndRejectsBadThresholds) {
+  SlowQueryLog log(4);
+  ASSERT_TRUE(log.Configure(0.25, 3).ok());
+  EXPECT_EQ(log.threshold_ns(), 250'000'000u);
+  // Below 1 ns arms at 1 ns instead of truncating to the disarming 0.
+  ASSERT_TRUE(log.Configure(1e-12, 3).ok());
+  EXPECT_EQ(log.threshold_ns(), 1u);
+  EXPECT_TRUE(log.armed());
+
+  for (const double bad : {-1.0, std::nan(""), HUGE_VAL}) {
+    EXPECT_EQ(log.Configure(bad, 5).code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(log.threshold_ns(), 1u);  // a refused threshold changes nothing
+  EXPECT_EQ(log.capacity(), 3u);
+
+  ASSERT_TRUE(log.Configure(0.0, 3).ok());
+  EXPECT_FALSE(log.armed());
 }
 
 // --- Engine integration -----------------------------------------------------
@@ -349,12 +414,19 @@ class EngineEventsTest : public ::testing::Test {
  protected:
   void SetUp() override {
     EventLog::Default().Clear();
-    SlowQueryLog::Default().Configure(0, SlowQueryLog::kDefaultCapacity);
+    ResetSinks();
     SlowQueryLog::Default().Clear();
     RollingWindow::Default().Clear();
   }
-  void TearDown() override {
-    SlowQueryLog::Default().Configure(0, SlowQueryLog::kDefaultCapacity);
+  void TearDown() override { ResetSinks(); }
+
+  // The sinks' configuration is the process's: each test starts from and
+  // leaves the defaults (disarmed slow log, no SLOs).
+  static void ResetSinks() {
+    EXPECT_TRUE(SlowQueryLog::Default()
+                    .Configure(0.0, SlowQueryLog::kDefaultCapacity)
+                    .ok());
+    EXPECT_TRUE(RollingWindow::Default().SetSlos({}).ok());
   }
 };
 
@@ -634,10 +706,9 @@ TEST_F(EngineEventsTest, RecordEventsOffDisablesRecording) {
 
 TEST_F(EngineEventsTest, SlowLogRecordsCarryPhases) {
   DirectedGraph graph = testing::SmallRandomGraph(60, 906, 40);
-  service::EngineOptions options = SmallEngineOptions();
-  options.slow_log_threshold_seconds = 1e-12;  // everything is slow
-  options.slow_log_capacity = 4;
-  auto engine = service::QueryEngine::Create(graph, options);
+  // Everything is slow.
+  ASSERT_TRUE(SlowQueryLog::Default().Configure(1e-12, 4).ok());
+  auto engine = service::QueryEngine::Create(graph, SmallEngineOptions());
   ASSERT_TRUE(engine.ok());
 
   auto response = (*engine)->Query(
@@ -657,35 +728,46 @@ TEST_F(EngineEventsTest, SlowLogRecordsCarryPhases) {
 
 TEST_F(EngineEventsTest, SloSpecsPublishServiceGauges) {
   DirectedGraph graph = testing::SmallRandomGraph(60, 907, 40);
-  service::EngineOptions options = SmallEngineOptions();
   SloSpec spec;
   spec.name = "test_engine_p99";
   spec.objective = SloSpec::Objective::kLatencyP99;
   spec.threshold = 10.0;  // generous: queries finish well under 10 s
-  options.slos = {spec};
-  auto engine = service::QueryEngine::Create(graph, options);
+  ASSERT_TRUE(RollingWindow::Default().SetSlos({spec}).ok());
+  auto engine = service::QueryEngine::Create(graph, SmallEngineOptions());
   ASSERT_TRUE(engine.ok());
 
   ASSERT_TRUE((*engine)->Query(service::QueryRequest::ForVertex(6)).ok());
-  engine->reset();  // dtor refreshes the gauges
+  RollingWindow::Default().UpdateGauges(RollingWindow::NowSecond());
 
   obs::MetricsSnapshot metrics = obs::MetricsRegistry::Default().Snapshot();
   ASSERT_TRUE(metrics.gauges.count("service.slo.test_engine_p99.ok"));
   EXPECT_EQ(metrics.gauges["service.slo.test_engine_p99.ok"], 1);
 }
 
-TEST_F(EngineEventsTest, InvalidSloSpecIsRejected) {
-  DirectedGraph graph = testing::SmallRandomGraph(20, 908, 10);
-  service::EngineOptions options = SmallEngineOptions();
+TEST_F(EngineEventsTest, EnginesLeaveTheSinksAsTheProcessSetThem) {
+  DirectedGraph graph = testing::SmallRandomGraph(60, 908, 40);
   SloSpec spec;
-  spec.name = "Bad Name";  // spaces/uppercase: not [a-z0-9_]+
-  options.slos = {spec};
-  auto engine = service::QueryEngine::Create(graph, options);
-  EXPECT_FALSE(engine.ok());
-
-  options.slos.clear();
-  options.slow_log_threshold_seconds = -1.0;
-  EXPECT_FALSE(service::QueryEngine::Create(graph, options).ok());
+  spec.name = "test_engine_owner";
+  spec.threshold = 10.0;
+  // Armed with an SLO, then disarmed with none: building, serving and
+  // destroying an engine changes neither configuration.
+  for (const bool armed : {true, false}) {
+    SCOPED_TRACE(armed);
+    ASSERT_TRUE(SlowQueryLog::Default().Configure(armed ? 0.5 : 0.0, 3).ok());
+    ASSERT_TRUE(RollingWindow::Default()
+                    .SetSlos(armed ? std::vector<SloSpec>{spec}
+                                   : std::vector<SloSpec>{})
+                    .ok());
+    {
+      auto engine = service::QueryEngine::Create(graph, SmallEngineOptions());
+      ASSERT_TRUE(engine.ok());
+      ASSERT_TRUE((*engine)->Query(service::QueryRequest::ForVertex(6)).ok());
+    }
+    EXPECT_EQ(SlowQueryLog::Default().threshold_ns(),
+              armed ? 500'000'000u : 0u);
+    EXPECT_EQ(SlowQueryLog::Default().capacity(), 3u);
+    EXPECT_EQ(RollingWindow::Default().slos().size(), armed ? 1u : 0u);
+  }
 }
 
 // --- Request lifecycle: one accounting step per request -------------------
@@ -1168,7 +1250,7 @@ TEST_F(EngineEventsTest, EventsJsonRoundTrips) {
   spec.name = "test_json_p99";
   spec.objective = SloSpec::Objective::kLatencyP99;
   spec.threshold = 0.5;
-  window.SetSlos({spec});
+  ASSERT_TRUE(window.SetSlos({spec}).ok());
   window.Record(600, 1'000'000, 0, 0);
   report.window = window.Snapshot(600);
 

@@ -117,8 +117,9 @@ TEST_F(ServiceEngineTest, RejectsInvalidRequestsWithoutRunning) {
   ASSERT_FALSE(zero_k.ok());
   EXPECT_EQ(zero_k.status().code(), StatusCode::kInvalidArgument);
 
-  auto nan_threshold = (*engine)->Query(QueryRequest::ForVertex(0).WithThreshold(
-      std::numeric_limits<double>::quiet_NaN()));
+  auto nan_threshold =
+      (*engine)->Query(QueryRequest::ForVertex(0).WithThreshold(
+          std::numeric_limits<double>::quiet_NaN()));
   ASSERT_FALSE(nan_threshold.ok());
   EXPECT_EQ(nan_threshold.status().code(), StatusCode::kInvalidArgument);
 
@@ -301,7 +302,8 @@ TEST_F(ServiceEngineTest, BypassCacheSkipsLookupAndInsertion) {
       (*engine)->Query(QueryRequest::ForVertex(8).WithBypassCache()).ok());
   EXPECT_EQ((*engine)->CacheSize(), 0u);
   ASSERT_TRUE((*engine)->Query(QueryRequest::ForVertex(8)).ok());
-  auto bypassed = (*engine)->Query(QueryRequest::ForVertex(8).WithBypassCache());
+  auto bypassed =
+      (*engine)->Query(QueryRequest::ForVertex(8).WithBypassCache());
   ASSERT_TRUE(bypassed.ok());
   EXPECT_FALSE(bypassed->from_cache);
 }
@@ -320,7 +322,7 @@ TEST_F(ServiceEngineTest, InvalidateCacheDropsEntries) {
 }
 
 TEST_F(ServiceEngineTest, LruEvictsLeastRecentlyUsedEntry) {
-  ResultCache cache(2, 1);  // single shard so eviction order is global
+  ResultCache cache(2);
   const auto key = [](Vertex v) {
     return CacheKey{.vertices = {v}, .group = false, .k = 8};
   };
@@ -736,8 +738,8 @@ TEST_F(ServiceEngineTest, ConcurrentSubmissionStress) {
 
 // ------------------------------------------------------- result cache (unit)
 
-TEST(ResultCacheTest, ShardedLookupInsertEvict) {
-  ResultCache cache(4, 2);
+TEST(ResultCacheTest, LookupInsertRefreshClear) {
+  ResultCache cache(4);
   EXPECT_EQ(cache.capacity(), 4u);
   const std::vector<ScoredVertex> top = {{7, 0.5}};
   CacheKey key{.vertices = {1}, .group = false, .k = 10, .threshold_bits = 0};
@@ -752,6 +754,36 @@ TEST(ResultCacheTest, ShardedLookupInsertEvict) {
   EXPECT_EQ(cache.size(), 1u);
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
+}
+
+CacheKey VertexKey(Vertex v) {
+  return CacheKey{.vertices = {v}, .group = false, .k = 10};
+}
+
+TEST(ResultCacheTest, NeverHoldsMoreThanCapacity) {
+  ResultCache cache(10);
+  for (Vertex v = 0; v < 40; ++v) {
+    cache.Insert(VertexKey(v), {{v, 0.5}});
+    EXPECT_LE(cache.size(), 10u);
+  }
+  EXPECT_EQ(cache.size(), 10u);
+  // The ten most recent inserts are the ones held.
+  std::vector<ScoredVertex> out;
+  for (Vertex v = 30; v < 40; ++v) {
+    EXPECT_TRUE(cache.Lookup(VertexKey(v), &out));
+  }
+}
+
+TEST(ResultCacheTest, EvictsTheLeastRecentlyUsedEntryOfTheWholeCache) {
+  ResultCache cache(10);
+  for (Vertex v = 1; v <= 10; ++v) cache.Insert(VertexKey(v), {{v, 0.5}});
+  std::vector<ScoredVertex> out;
+  ASSERT_TRUE(cache.Lookup(VertexKey(1), &out));  // 2 is now the oldest
+  cache.Insert(VertexKey(11), {{11, 0.5}});
+  EXPECT_EQ(cache.size(), 10u);
+  for (Vertex v = 1; v <= 11; ++v) {
+    EXPECT_EQ(cache.Lookup(VertexKey(v), &out), v != 2) << v;
+  }
 }
 
 }  // namespace

@@ -22,8 +22,8 @@ fi
 
 cd "${repo_root}"
 mapfile -t sources < <(git ls-files \
-  'src/**/*.cc' 'src/**/*.h' 'tools/*.cc' 'tests/*.cc' 'tests/*.h' \
-  'bench/*.cc' 'bench/*.h' 'examples/*.cpp')
+  'src/**/*.cc' 'src/**/*.h' 'tools/*.cc' 'tools/*.h' 'tests/*.cc' \
+  'tests/*.h' 'bench/*.cc' 'bench/*.h' 'examples/*.cpp')
 
 echo "check_format.sh: ${mode} over ${#sources[@]} files ($(clang-format --version | xargs))"
 

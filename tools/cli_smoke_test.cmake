@@ -79,6 +79,7 @@ function(expect_code expected)
   if(NOT code EQUAL 0 AND NOT err MATCHES "error:")
     message(FATAL_ERROR "failure did not report to stderr: ${ARGN}\n${err}")
   endif()
+  set(LAST_ERROR "${err}" PARENT_SCOPE)
 endfunction()
 
 # Usage errors -> 2.
@@ -92,6 +93,15 @@ expect_code(2 ${CLI} query ${graph} --vertex=5 --backend=exact
             --index=${index})
 expect_code(2 ${CLI} allpairs ${graph} --out=${WORK_DIR}/x.tsv
             --backend=exact)
+# A malformed number or a flag the tool does not define is refused, naming
+# the flag, before the command does any work.
+foreach(bad --k=3x --threshold=O.5 --thresold=0.5)
+  expect_code(2 ${CLI} query ${graph} --vertex=1 ${bad})
+  string(REGEX REPLACE "=.*" "" name "${bad}")
+  if(NOT LAST_ERROR MATCHES "error: .*${name}")
+    message(FATAL_ERROR "${bad}: the error does not name ${name}")
+  endif()
+endforeach()
 
 # IO errors -> 3.
 expect_code(3 ${CLI} stats ${WORK_DIR}/does_not_exist.bin)

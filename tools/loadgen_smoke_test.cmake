@@ -5,7 +5,9 @@
 #   3. both priority classes appear in the report,
 #   4. the arrival schedule is deterministic under --seed (two runs,
 #      same seed, same arrival count — the replayability contract the
-#      simrank_lint R2 rule defends).
+#      simrank_lint R2 rule defends),
+#   5. the report carries the --slo objectives set on the rolling window,
+#   6. a malformed number or an undefined flag exits 2.
 #
 # Usage: cmake -DLOADGEN=<binary> -DWORK_DIR=<dir> -P loadgen_smoke_test.cmake
 
@@ -33,7 +35,8 @@ file(READ ${bench} bench_json)
 if(NOT bench_json MATCHES "\"schema\":\"simrank-serving-v1\"")
   message(FATAL_ERROR "BENCH_serving is not simrank-serving-v1:\n${bench_json}")
 endif()
-foreach(key "achieved_qps" "interactive" "batch" "slos_ok" "shed_rate")
+foreach(key "achieved_qps" "interactive" "batch" "slos_ok" "shed_rate"
+            "latency_p99")
   if(NOT bench_json MATCHES "\"${key}\"")
     message(FATAL_ERROR "BENCH_serving lacks \"${key}\":\n${bench_json}")
   endif()
@@ -64,6 +67,15 @@ if(NOT CMAKE_MATCH_1 EQUAL first_arrivals)
   message(FATAL_ERROR "seeded replay diverged: ${first_arrivals} vs "
                       "${CMAKE_MATCH_1} arrivals")
 endif()
+
+foreach(bad --qps=6O --qsp=60)
+  execute_process(COMMAND ${LOADGEN} ${bad} RESULT_VARIABLE code
+                  OUTPUT_QUIET ERROR_VARIABLE err)
+  string(REGEX REPLACE "=.*" "" name "${bad}")
+  if(NOT code EQUAL 2 OR NOT err MATCHES "error: .*${name}")
+    message(FATAL_ERROR "${bad}: expected exit 2 naming ${name}: ${err}")
+  endif()
+endforeach()
 
 file(REMOVE ${bench} ${bench2})
 message(STATUS "loadgen smoke test passed")

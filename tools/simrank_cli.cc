@@ -31,6 +31,7 @@
 #include "graph/stats.h"
 #include "graph/traversal.h"
 #include "obs/postmortem.h"
+#include "obs/slow_log.h"
 #include "simrank/simrank.h"
 #include "util/table.h"
 #include "util/timer.h"
@@ -39,21 +40,18 @@ namespace {
 
 using namespace simrank;
 using tools::BackendFromFlags;
-using tools::ExitCodeFor;
+using tools::Fail;
 using tools::Flags;
 using tools::LoadGraph;
-using tools::ParseSlos;
 
-int Fail(const Status& status) {
-  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return ExitCodeFor(status);
-}
-
-// Flag-level usage errors, before any Status exists.
-int Fail(const std::string& message) {
-  std::fprintf(stderr, "error: %s\n", message.c_str());
-  return 2;
-}
+// Every flag simrank_cli defines, across its commands.
+constexpr tools::FlagSpec kFlags = {
+    .strings = "backend events-json family index obs-json out postmortem slo",
+    .bools = "estimate-diagonal keep-checkpoint resume",
+    .uints = "checkpoint-interval k m n partition partitions repeat seed "
+             "slow-log-capacity steps threads u v vertex walks",
+    .doubles = "decay slow-log threshold",
+};
 
 int Usage() {
   std::fprintf(stderr,
@@ -209,13 +207,15 @@ int CmdQuery(const Flags& flags) {
   if (flags.positional().empty()) return Usage();
   auto graph = LoadGraph(flags.positional()[0]);
   if (!graph.ok()) return Fail(graph.status());
-  service::EngineOptions options;
-  options.slow_log_threshold_seconds = flags.GetDouble("slow-log", 0.0);
-  options.slow_log_capacity = static_cast<size_t>(
-      flags.GetInt("slow-log-capacity", options.slow_log_capacity));
-  const Status slo_status = ParseSlos(flags.GetString("slo"), &options.slos);
+  // The process-wide sinks the engine records into are this process's
+  // to configure.
+  const Status slow_log_status = obs::SlowQueryLog::Default().Configure(
+      flags.GetDouble("slow-log", 0.0),
+      flags.GetInt("slow-log-capacity", obs::SlowQueryLog::kDefaultCapacity));
+  if (!slow_log_status.ok()) return Fail(slow_log_status);
+  const Status slo_status = tools::ConfigureSlos(flags);
   if (!slo_status.ok()) return Fail(slo_status);
-  auto engine = MakeEngine(*graph, flags, std::move(options));
+  auto engine = MakeEngine(*graph, flags, service::EngineOptions());
   if (!engine.ok()) return Fail(engine.status());
   const Vertex vertex = static_cast<Vertex>(flags.GetInt("vertex", 0));
   const uint64_t repeat = flags.GetInt("repeat", 1);
@@ -357,14 +357,15 @@ int RunCommand(const std::string& command, const Flags& flags) {
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
-  const Flags flags(argc, argv, 2);
+  const Result<Flags> flags = Flags::Parse(argc, argv, 2, kFlags);
+  if (!flags.ok()) return Fail(flags.status());
   // Arm crash dumps before any work runs so a CHECK failure anywhere in
   // the command leaves an artifact.
-  const std::string postmortem = flags.GetString("postmortem");
+  const std::string postmortem = flags->GetString("postmortem");
   if (!postmortem.empty()) obs::SetPostmortemPath(postmortem);
-  const int code = RunCommand(command, flags);
+  const int code = RunCommand(command, *flags);
   // The reports are written even on failure: chaos tests read faults.*
   // counters and event records from runs that (deliberately) errored out.
-  const int report_code = tools::WriteReports(flags);
+  const int report_code = tools::WriteReports(*flags);
   return code != 0 ? code : report_code;
 }

@@ -43,19 +43,20 @@
 namespace {
 
 using namespace simrank;
-using tools::ExitCodeFor;
+using tools::Fail;
 using tools::Flags;
-using tools::ParseSlos;
 
-int Fail(const Status& status) {
-  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return ExitCodeFor(status);
-}
-
-int Fail(const std::string& message) {
-  std::fprintf(stderr, "error: %s\n", message.c_str());
-  return 2;
-}
+// Every flag simrank_loadgen defines.
+constexpr tools::FlagSpec kFlags = {
+    .strings = "backend burst events-json family mix obs-json out slo",
+    .bools = "find-max help",
+    .uints = "batch-queue breach-steps cache-capacity clients "
+             "degrade-watermark graph-seed group-size interactive-queue k m "
+             "max-steps n prewarm recover-steps seed threads universe "
+             "walks-estimate walks-refine",
+    .doubles = "client-burst client-rate deadline duration max-shed-rate qps "
+               "step-duration target-p99 threshold zipf",
+};
 
 Result<DirectedGraph> BuildGraph(const Flags& flags) {
   if (!flags.positional().empty()) {
@@ -216,7 +217,9 @@ void PrintClass(const char* name, const loadgen::ClassReport& cls) {
 }
 
 int Run(int argc, char** argv) {
-  const Flags flags(argc, argv, 1);
+  const Result<Flags> parsed = Flags::Parse(argc, argv, 1, kFlags);
+  if (!parsed.ok()) return Fail(parsed.status());
+  const Flags& flags = *parsed;
   if (flags.GetBool("help")) {
     std::fprintf(stderr, "usage: simrank_loadgen [graph] [--flags]\n"
                          "see the header of tools/simrank_loadgen.cc\n");
@@ -241,10 +244,8 @@ int Run(int argc, char** argv) {
   const Result<BackendChoice> backend = tools::BackendFromFlags(flags);
   if (!backend.ok()) return Fail(backend.status().message());
   engine_options.backend = *backend;
-  const std::string slo_spec = flags.GetString("slo");
-  if (!slo_spec.empty()) {
-    const Status status = ParseSlos(slo_spec, &engine_options.slos);
-    if (!status.ok()) return Fail(status);
+  if (const Status status = tools::ConfigureSlos(flags); !status.ok()) {
+    return Fail(status);
   }
   service::AdmissionOptions& admission = engine_options.admission;
   admission.interactive_queue_limit = flags.GetInt("interactive-queue", 0);

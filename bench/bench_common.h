@@ -5,14 +5,16 @@
 //
 // Every bench accepts:
 //   --scale=<float>   multiply every dataset size (default 1.0; the same
-//                     knob as eval::DatasetRegistry; must be > 0)
+//                     knob as eval::DatasetRegistry; in (0, 1e6])
 //   --full            include the largest datasets / configurations
-//   --queries=<int>   override the per-dataset query count
+//   --queries=<int>   override the per-dataset query count (at most 1e9)
 //   --json=<path>     additionally write a machine-readable
 //                     "simrank-bench-v1" JSON document (wall times per
 //                     case + full obs metrics snapshot) to <path>
 // and prints aligned tables in the layout of the corresponding paper
-// artifact. EXPERIMENTS.md records paper-vs-measured numbers.
+// artifact. EXPERIMENTS.md records paper-vs-measured numbers. Flags use
+// the tools' grammar (util/parse.h); a malformed or out-of-range value or
+// an empty --json exits 2, and --help prints the usage and exits 0.
 //
 // Scale precedence is explicit: the SIMRANK_BENCH_SCALE environment
 // variable is a forced override (CI pins one corpus size across every
@@ -21,19 +23,19 @@
 // --scale=1.0 — and a notice is printed. Malformed values in either
 // place are an error, never a silent 1.0.
 
-#include <cerrno>
-#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/graph.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "util/parse.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -46,75 +48,56 @@ struct BenchArgs {
   std::string json_path;  // empty = no JSON output
 };
 
-namespace internal {
+/// The flags every bench defines.
+inline constexpr FlagSpec kBenchFlags = {
+    .strings = "json",
+    .bools = "full help",
+    .uints = "queries",
+    .doubles = "scale",
+};
 
-[[noreturn]] inline void ArgError(const char* what, const char* value) {
-  std::fprintf(stderr, "error: invalid %s '%s'\n", what, value);
-  std::exit(2);
-}
-
-/// strtod with full-consumption and positivity checks; exits with a
-/// diagnostic on junk, overflow, zero, or negative input (atof's silent
-/// 0.0-then-clamped-to-1.0 behaviour is exactly the bug this replaces).
-inline double ParseScaleOrDie(const char* text, const char* what) {
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno == ERANGE) ArgError(what, text);
-  if (!(value > 0.0) || value > 1e6) ArgError(what, text);
-  return value;
-}
-
-inline int ParseIntOrDie(const char* text, const char* what) {
-  errno = 0;
-  char* end = nullptr;
-  const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE) ArgError(what, text);
-  if (value < 0 || value > 1000000000L) ArgError(what, text);
-  return static_cast<int>(value);
-}
-
-}  // namespace internal
-
-/// Parses the common bench flags. Unknown `--flags` are an error unless
-/// `allow_unknown` is set (bench_micro shares argv with google-benchmark,
-/// whose flags must pass through).
-inline BenchArgs ParseArgs(int argc, char** argv,
-                           bool allow_unknown = false) {
-  BenchArgs args;
-  bool scale_from_flag = false;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--scale=", 8) == 0) {
-      args.scale = internal::ParseScaleOrDie(arg + 8, "--scale");
-      scale_from_flag = true;
-    } else if (std::strcmp(arg, "--full") == 0) {
-      args.full = true;
-    } else if (std::strncmp(arg, "--queries=", 10) == 0) {
-      args.queries = internal::ParseIntOrDie(arg + 10, "--queries");
-    } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      args.json_path = arg + 7;
-      if (args.json_path.empty()) internal::ArgError("--json", arg);
-    } else if (std::strcmp(arg, "--help") == 0) {
-      std::printf(
-          "usage: %s [--scale=F] [--full] [--queries=N] [--json=PATH]\n"
-          "  --scale=F     dataset size multiplier, F > 0 (default 1.0)\n"
-          "  --full        include the largest datasets\n"
-          "  --queries=N   per-dataset query count override\n"
-          "  --json=PATH   write simrank-bench-v1 JSON results to PATH\n"
-          "env: SIMRANK_BENCH_SCALE forcibly overrides --scale when set\n",
-          argv[0]);
-      std::exit(0);
-    } else if (!allow_unknown && std::strncmp(arg, "--", 2) == 0) {
-      std::fprintf(stderr, "error: unknown flag '%s' (try --help)\n", arg);
-      std::exit(2);
-    }
+/// Parses the common bench flags, exiting as the header comment says.
+inline BenchArgs ParseArgs(int argc, char** argv) {
+  const auto fail = [](const std::string& message) {
+    std::fprintf(stderr, "error: %s (try --help)\n", message.c_str());
+    std::exit(2);
+  };
+  const Result<Flags> flags = Flags::Parse(argc, argv, 1, kBenchFlags);
+  if (!flags.ok()) fail(flags.status().message());
+  if (flags->GetBool("help")) {
+    std::printf(
+        "usage: %s [--scale=F] [--full] [--queries=N] [--json=PATH]\n"
+        "  --scale=F     dataset size multiplier, F > 0 (default 1.0)\n"
+        "  --full        include the largest datasets\n"
+        "  --queries=N   per-dataset query count override\n"
+        "  --json=PATH   write simrank-bench-v1 JSON results to PATH\n"
+        "env: SIMRANK_BENCH_SCALE forcibly overrides --scale when set\n",
+        argv[0]);
+    std::exit(0);
   }
+  // A scale from --scale or the environment; NaN fails both comparisons.
+  const auto scale = [&fail](const std::string& what, std::string_view text) {
+    const std::optional<double> value = ParseNumber<double>(text);
+    if (!value.has_value() || !(*value > 0.0 && *value <= 1e6)) {
+      fail(what + ": expected a number in (0, 1e6], got '" +
+           std::string(text) + "'");
+    }
+    return *value;
+  };
+  BenchArgs args;
+  const std::string scale_flag = flags->GetString("scale");
+  if (!scale_flag.empty()) args.scale = scale("--scale", scale_flag);
+  args.full = flags->GetBool("full");
+  const uint64_t queries = flags->GetInt("queries", 0);
+  if (queries > 1000000000) fail("--queries: expected at most 1000000000");
+  args.queries = static_cast<int>(queries);
+  // The fallback tells an empty --json= from no --json at all.
+  if (flags->GetString("json", "unset").empty()) fail("--json: empty path");
+  args.json_path = flags->GetString("json");
   const char* env = std::getenv("SIMRANK_BENCH_SCALE");
   if (env != nullptr && env[0] != '\0') {
-    const double env_scale =
-        internal::ParseScaleOrDie(env, "SIMRANK_BENCH_SCALE");
-    if (scale_from_flag && env_scale != args.scale) {
+    const double env_scale = scale("SIMRANK_BENCH_SCALE", env);
+    if (!scale_flag.empty() && env_scale != args.scale) {
       std::fprintf(stderr,
                    "note: SIMRANK_BENCH_SCALE=%s overrides --scale=%g\n", env,
                    args.scale);

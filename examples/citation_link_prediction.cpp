@@ -12,22 +12,27 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <vector>
 
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/stats.h"
 #include "simrank/simrank.h"
+#include "util/parse.h"
 #include "util/rng.h"
 
 int main(int argc, char** argv) {
   using namespace simrank;
-  const Vertex num_papers =
-      argc > 1 ? static_cast<Vertex>(std::atoi(argv[1])) : 8000;
+  const std::optional<Vertex> num_papers =
+      argc > 1 ? ParseNumber<Vertex>(argv[1]) : Vertex{8000};
+  if (!num_papers.has_value()) {
+    std::fprintf(stderr, "usage: %s [num_papers]\n", argv[0]);
+    return 2;
+  }
 
   Rng rng(555);
-  const DirectedGraph full = MakeCopyingModel(num_papers, 5, 0.75, rng);
+  const DirectedGraph full = MakeCopyingModel(*num_papers, 5, 0.75, rng);
   std::printf("citation network: %s\n",
               ToString(ComputeGraphStats(full)).c_str());
 

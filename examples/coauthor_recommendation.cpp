@@ -11,28 +11,33 @@
 //   $ ./examples/coauthor_recommendation [num_authors]
 
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "eval/datasets.h"
 #include "graph/stats.h"
 #include "graph/traversal.h"
 #include "simrank/simrank.h"
+#include "util/parse.h"
 #include "util/table.h"
 #include "util/timer.h"
 
 int main(int argc, char** argv) {
   using namespace simrank;
-  const Vertex num_authors =
-      argc > 1 ? static_cast<Vertex>(std::atoi(argv[1])) : 20000;
+  const std::optional<Vertex> num_authors =
+      argc > 1 ? ParseNumber<Vertex>(argv[1]) : Vertex{20000};
+  if (!num_authors.has_value()) {
+    std::fprintf(stderr, "usage: %s [num_authors]\n", argv[0]);
+    return 2;
+  }
 
   // Synthesize a collaboration network: preferential attachment with
   // mutual edges, the same family the benchmark registry uses for ca-*.
   eval::DatasetSpec spec;
   spec.name = "coauthors";
   spec.family = eval::DatasetFamily::kCollaboration;
-  spec.target_vertices = num_authors;
-  spec.target_edges = static_cast<uint64_t>(num_authors) * 6;
+  spec.target_vertices = *num_authors;
+  spec.target_edges = static_cast<uint64_t>(*num_authors) * 6;
   spec.seed = 7;
   const DirectedGraph graph = eval::Generate(spec);
   std::printf("co-authorship network: %s\n",

@@ -12,25 +12,31 @@
 //   $ ./examples/web_related_pages [log2_num_pages]
 
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "graph/generators.h"
 #include "graph/stats.h"
 #include "simrank/simrank.h"
+#include "util/parse.h"
 #include "util/rng.h"
 #include "util/table.h"
 #include "util/timer.h"
 
 int main(int argc, char** argv) {
   using namespace simrank;
-  const uint32_t scale = argc > 1 ? std::atoi(argv[1]) : 16;
+  const std::optional<uint32_t> scale =
+      argc > 1 ? ParseNumber<uint32_t>(argv[1]) : uint32_t{16};
+  if (!scale.has_value()) {
+    std::fprintf(stderr, "usage: %s [log2_num_pages]\n", argv[0]);
+    return 2;
+  }
 
   Rng gen_rng(2026);
   RmatParams rmat;  // Graph500 web-like skew, directed
   const DirectedGraph graph =
-      MakeRmat(scale, (1ull << scale) * 10, gen_rng, rmat);
+      MakeRmat(*scale, (1ull << *scale) * 10, gen_rng, rmat);
   std::printf("web graph: %s\n", ToString(ComputeGraphStats(graph)).c_str());
 
   service::EngineOptions options;  // paper defaults: c=0.6, T=11, k=20

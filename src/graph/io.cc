@@ -1,22 +1,28 @@
 #include "graph/io.h"
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/builder.h"
 #include "obs/metrics.h"
 #include "util/atomic_file.h"
 #include "util/fault_injection.h"
+#include "util/parse.h"
+#include "util/serialize.h"
 
 namespace simrank {
 
 namespace {
 
 constexpr uint64_t kBinaryMagic = 0x53524b47'42494e31ULL;  // "SRKGBIN1"
+
+// What separates the fields of an edge-list line: the whitespace that is
+// not a line break.
+constexpr std::string_view kBlank = " \t\r\f\v";
 
 // IO metrics: how much graph data moved through this process, and in how
 // many loads — enough to see when a bench spends its time parsing instead
@@ -34,61 +40,41 @@ void RecordSave(uint64_t bytes) {
   registry.GetCounter("io.bytes_written").Add(bytes);
 }
 
-// Parses one edge line into (from, to). Returns false for blank lines.
-Status ParseLine(const char* line, size_t line_number, bool& has_edge,
-                 uint64_t& from, uint64_t& to) {
-  has_edge = false;
-  const char* p = line;
-  while (*p == ' ' || *p == '\t' || *p == '\r') ++p;
-  if (*p == '\0' || *p == '\n') return Status::OK();
-  char* end = nullptr;
-  errno = 0;
-  from = std::strtoull(p, &end, 10);
-  if (end == p || errno == ERANGE) {
-    return Status::Corruption("line " + std::to_string(line_number) +
-                              ": expected source vertex id");
-  }
-  p = end;
-  while (*p == ' ' || *p == '\t') ++p;
-  errno = 0;
-  to = std::strtoull(p, &end, 10);
-  if (end == p || errno == ERANGE) {
-    return Status::Corruption("line " + std::to_string(line_number) +
-                              ": expected target vertex id");
-  }
-  if (from > 0xFFFFFFFEULL || to > 0xFFFFFFFEULL) {
-    return Status::OutOfRange("line " + std::to_string(line_number) +
-                              ": vertex id exceeds 32-bit range");
-  }
-  has_edge = true;
-  return Status::OK();
-}
-
-Result<DirectedGraph> ParseLines(const std::string& text,
+Result<DirectedGraph> ParseLines(std::string_view text,
                                  const EdgeListOptions& options) {
   GraphBuilder builder;
   size_t line_number = 0;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size();
+  FieldSplitter lines(text, "\n");
+  for (std::string_view line; lines.Next(line);) {
     ++line_number;
-    std::string line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    // Skip comment lines.
-    size_t first = line.find_first_not_of(" \t\r");
-    if (first != std::string::npos &&
-        options.comment_prefixes.find(line[first]) != std::string::npos) {
+    // The first two fields are the ids; later ones (a SNAP weight
+    // column) are ignored.
+    std::string_view ids[2];
+    size_t fields = 0;
+    FieldSplitter splitter(line, kBlank);
+    for (std::string_view field; fields < 2 && splitter.Next(field);) {
+      if (!field.empty()) ids[fields++] = field;
+    }
+    // Skip blank and comment lines.
+    if (fields == 0 ||
+        options.comment_prefixes.find(ids[0][0]) != std::string::npos) {
       continue;
     }
-    bool has_edge = false;
-    uint64_t from = 0, to = 0;
-    Status st = ParseLine(line.c_str(), line_number, has_edge, from, to);
-    if (!st.ok()) return st;
-    if (!has_edge) continue;
-    builder.AddEdge(static_cast<Vertex>(from), static_cast<Vertex>(to));
+    const std::optional<uint64_t> from = ParseNumber<uint64_t>(ids[0]);
+    const std::optional<uint64_t> to = ParseNumber<uint64_t>(ids[1]);
+    if (!from.has_value() || !to.has_value()) {
+      return Status::Corruption("line " + std::to_string(line_number) +
+                                ": expected " +
+                                (from.has_value() ? "target" : "source") +
+                                " vertex id");
+    }
+    if (*from > 0xFFFFFFFEULL || *to > 0xFFFFFFFEULL) {
+      return Status::OutOfRange("line " + std::to_string(line_number) +
+                                ": vertex id exceeds 32-bit range");
+    }
+    builder.AddEdge(static_cast<Vertex>(*from), static_cast<Vertex>(*to));
     if (options.symmetrize) {
-      builder.AddEdge(static_cast<Vertex>(to), static_cast<Vertex>(from));
+      builder.AddEdge(static_cast<Vertex>(*to), static_cast<Vertex>(*from));
     }
   }
   if (options.deduplicate) builder.Deduplicate();
@@ -107,23 +93,9 @@ Result<DirectedGraph> ParseEdgeListText(const std::string& text,
 Result<DirectedGraph> LoadEdgeListText(const std::string& path,
                                        const EdgeListOptions& options) {
   SIMRANK_FAULT_POINT("io.load_edgelist");
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return Status::IoError("cannot open " + path + ": " +
-                           std::strerror(errno));
-  }
-  std::string text;
-  char buf[1 << 16];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), file)) > 0) {
-    text.append(buf, got);
-  }
-  const bool read_error = std::ferror(file) != 0;
-  std::fclose(file);
-  if (read_error) return Status::IoError("read error on " + path);
-  Result<DirectedGraph> result = ParseLines(text, options);
-  if (result.ok()) RecordLoad(text.size(), *result);
-  return result;
+  const Result<std::string> text = ReadFile(path);
+  if (!text.ok()) return text.status();
+  return ParseEdgeListText(*text, options);
 }
 
 Status SaveEdgeListText(const DirectedGraph& graph, const std::string& path) {
@@ -166,19 +138,13 @@ Status SaveBinary(const DirectedGraph& graph, const std::string& path) {
 
 Result<DirectedGraph> LoadBinary(const std::string& path) {
   SIMRANK_FAULT_POINT("io.load_binary");
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return Status::IoError("cannot open " + path + ": " +
-                           std::strerror(errno));
-  }
-  uint64_t magic = 0, n = 0, m = 0;
-  bool ok = std::fread(&magic, sizeof(magic), 1, file) == 1 &&
-            std::fread(&n, sizeof(n), 1, file) == 1 &&
-            std::fread(&m, sizeof(m), 1, file) == 1;
-  if (!ok || magic != kBinaryMagic) {
-    std::fclose(file);
+  BinaryReader reader(path);
+  uint64_t magic = 0, n = 0;
+  if (!reader.Read(magic)) return reader.status();
+  if (magic != kBinaryMagic) {
     return Status::Corruption(path + " is not a simrank binary graph");
   }
+  if (!reader.Read(n)) return reader.status();
   // The CSR build allocates O(n) regardless of how many edges the file
   // holds, so a corrupt vertex count must be rejected before it can
   // drive a multi-gigabyte allocation. 2^28 is far beyond any graph the
@@ -186,36 +152,19 @@ Result<DirectedGraph> LoadBinary(const std::string& path) {
   // header to a few hundred MB of transient memory.
   constexpr uint64_t kMaxLoadVertices = 1ULL << 28;
   if (n > kMaxLoadVertices) {
-    std::fclose(file);
     return Status::Corruption(path + ": vertex count out of range");
   }
-  // Bound the edge count by what the file can actually hold before
-  // allocating: a corrupt count must fail cleanly, not attempt a giant
-  // allocation.
-  const long data_start = std::ftell(file);
-  std::fseek(file, 0, SEEK_END);
-  const long file_end = std::ftell(file);
-  std::fseek(file, data_start, SEEK_SET);
-  const uint64_t available =
-      file_end > data_start ? static_cast<uint64_t>(file_end - data_start)
-                            : 0;
-  if (m > available / sizeof(Edge)) {
-    std::fclose(file);
-    return Status::Corruption(path + ": truncated edge array");
-  }
-  std::vector<Edge> edges(m);
-  if (m > 0 && std::fread(edges.data(), sizeof(Edge), m, file) != m) {
-    std::fclose(file);
-    return Status::Corruption(path + ": truncated edge array");
-  }
-  std::fclose(file);
+  // The edge count is the vector's length prefix, which ReadVector bounds
+  // by the bytes the file has left before it allocates.
+  std::vector<Edge> edges;
+  if (!reader.ReadVector(edges)) return reader.status();
   for (const Edge& e : edges) {
     if (e.from >= n || e.to >= n) {
       return Status::Corruption(path + ": edge endpoint out of range");
     }
   }
   DirectedGraph graph(static_cast<Vertex>(n), edges);
-  RecordLoad(3 * sizeof(uint64_t) + m * sizeof(Edge), graph);
+  RecordLoad(3 * sizeof(uint64_t) + edges.size() * sizeof(Edge), graph);
   return graph;
 }
 

@@ -14,6 +14,7 @@
 #include "util/atomic_file.h"
 #include "util/fault_injection.h"
 #include "util/mutex.h"
+#include "util/serialize.h"
 #include "util/thread_annotations.h"
 #include "util/timer.h"
 
@@ -23,12 +24,6 @@ namespace {
 
 Vertex ShardVertex(uint32_t partition, uint32_t num_partitions, size_t index) {
   return static_cast<Vertex>(partition + index * num_partitions);
-}
-
-size_t ShardSize(Vertex n, uint32_t partition, uint32_t num_partitions) {
-  return n > partition
-             ? (n - partition + num_partitions - 1) / num_partitions
-             : 0;
 }
 
 // Delivers the AllPairsOptions::progress contract: exactly one callback
@@ -94,24 +89,6 @@ void AppendRankingTsv(AtomicFileWriter& writer, Vertex query,
                                   query, entry.vertex, entry.score);
     writer.Append(line, static_cast<size_t>(len));
   }
-}
-
-Status ReadFileBytes(const std::string& path, std::string& out) {
-  SIMRANK_FAULT_POINT("ckpt.chunk.read");
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return Status::IoError("cannot open " + path + ": " +
-                           std::strerror(errno));
-  }
-  char buf[1 << 16];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), file)) > 0) {
-    out.append(buf, got);
-  }
-  const bool failed = std::ferror(file) != 0;
-  std::fclose(file);
-  if (failed) return Status::IoError("read error on " + path);
-  return Status::OK();
 }
 
 }  // namespace
@@ -235,9 +212,10 @@ Result<AllPairsFileReport> RunAllPairsToFile(const TopKSearcher& searcher,
   // fall between lines and every line is formatted identically.
   AtomicFileWriter final_writer(path);
   for (const CheckpointChunk& chunk : ckpt.chunks) {
-    std::string bytes;
-    SIMRANK_RETURN_IF_ERROR(ReadFileBytes(dir + "/" + chunk.file, bytes));
-    final_writer.Append(bytes);
+    SIMRANK_FAULT_POINT("ckpt.chunk.read");
+    const Result<std::string> bytes = ReadFile(dir + "/" + chunk.file);
+    if (!bytes.ok()) return bytes.status();
+    final_writer.Append(*bytes);
   }
   SIMRANK_RETURN_IF_ERROR(final_writer.Commit());
   if (!options.keep_checkpoint) RemoveCheckpoint(ckpt, dir);

@@ -1,11 +1,11 @@
 #include "simrank/checkpoint.h"
 
-#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
+#include <optional>
+#include <ranges>
+#include <set>
+#include <string_view>
 #include <type_traits>
 
 #include <sys/stat.h>
@@ -13,6 +13,8 @@
 
 #include "util/atomic_file.h"
 #include "util/fault_injection.h"
+#include "util/parse.h"
+#include "util/serialize.h"
 
 namespace simrank {
 
@@ -44,40 +46,11 @@ std::string ManifestPath(const std::string& dir) {
   return dir + "/" + kManifestName;
 }
 
-// --- tiny line-oriented "key=value" parser for the manifest ---
-
-struct ManifestParser {
-  explicit ManifestParser(const std::string& text) : text_(text) {}
-
-  bool NextLine(std::string& line) {
-    while (pos_ < text_.size()) {
-      size_t eol = text_.find('\n', pos_);
-      if (eol == std::string::npos) eol = text_.size();
-      line = text_.substr(pos_, eol - pos_);
-      pos_ = eol + 1;
-      if (!line.empty()) return true;
-    }
-    return false;
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-bool ParseUint(const std::string& token, uint64_t& value) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  value = std::strtoull(token.c_str(), &end, 10);
-  return end == token.c_str() + token.size() && errno != ERANGE;
-}
-
-bool ParseDouble(const std::string& token, double& value) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  value = std::strtod(token.c_str(), &end);
-  return end == token.c_str() + token.size() && errno != ERANGE;
+// Copies a parsed value into `field`; false when there is none.
+template <typename T>
+bool Store(const std::optional<T>& value, T& field) {
+  if (value.has_value()) field = *value;
+  return value.has_value();
 }
 
 Status Malformed(const std::string& dir, const std::string& what) {
@@ -109,6 +82,12 @@ uint64_t FingerprintOptions(const SearchOptions& options) {
   fp.Mix(static_cast<uint8_t>(options.estimate_diagonal));
   fp.Mix(options.seed);
   return fp.hash();
+}
+
+size_t ShardSize(Vertex n, uint32_t partition, uint32_t num_partitions) {
+  return n > partition
+             ? (n - partition + num_partitions - 1) / num_partitions
+             : 0;
 }
 
 std::string CheckpointDirFor(const std::string& tsv_path) {
@@ -149,94 +128,79 @@ Status WriteCheckpoint(const AllPairsCheckpoint& checkpoint,
 Result<AllPairsCheckpoint> ReadCheckpoint(const std::string& dir) {
   const std::string path = ManifestPath(dir);
   SIMRANK_FAULT_POINT("ckpt.manifest.read");
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return Status::IoError("cannot open " + path + ": " +
-                           std::strerror(errno));
-  }
-  std::string text;
-  char buf[4096];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), file)) > 0) {
-    text.append(buf, got);
-  }
-  const bool read_error = std::ferror(file) != 0;
-  std::fclose(file);
-  if (read_error) return Status::IoError("read error on " + path);
+  const Result<std::string> text = ReadFile(path);
+  if (!text.ok()) return text.status();
 
-  ManifestParser parser(text);
-  std::string line;
-  if (!parser.NextLine(line) || line != AllPairsCheckpoint::kFormatTag) {
+  std::vector<std::string_view> lines = Split(*text, "\n");
+  std::erase(lines, std::string_view());
+  if (lines.empty() || lines[0] != AllPairsCheckpoint::kFormatTag) {
     return Malformed(dir, "not a " +
                               std::string(AllPairsCheckpoint::kFormatTag) +
                               " manifest");
   }
   AllPairsCheckpoint checkpoint;
-  std::map<std::string, bool> seen;
-  while (parser.NextLine(line)) {
+  std::set<std::string_view> seen;
+  for (const std::string_view line : lines | std::views::drop(1)) {
     const size_t eq = line.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      return Malformed(dir, "malformed line '" + line + "'");
+    if (eq == std::string_view::npos || eq == 0) {
+      return Malformed(dir, "malformed line '" + std::string(line) + "'");
     }
-    const std::string key = line.substr(0, eq);
-    const std::string value = line.substr(eq + 1);
+    const std::string_view key = line.substr(0, eq);
+    const std::string_view value = line.substr(eq + 1);
     bool parsed = true;
-    uint64_t u = 0;
     if (key == "graph_n") {
-      parsed = ParseUint(value, checkpoint.graph_n);
+      parsed = Store(ParseNumber<uint64_t>(value), checkpoint.graph_n);
     } else if (key == "graph_m") {
-      parsed = ParseUint(value, checkpoint.graph_m);
+      parsed = Store(ParseNumber<uint64_t>(value), checkpoint.graph_m);
     } else if (key == "fingerprint") {
-      char* end = nullptr;
-      errno = 0;
-      checkpoint.options_fingerprint = std::strtoull(value.c_str(), &end, 16);
-      parsed = !value.empty() && end == value.c_str() + value.size() &&
-               errno != ERANGE;
+      parsed = Store(ParseNumber<uint64_t>(value, 16),
+                     checkpoint.options_fingerprint);
     } else if (key == "partition") {
-      parsed = ParseUint(value, u) && u <= 0xFFFFFFFFULL;
-      checkpoint.partition = static_cast<uint32_t>(u);
+      parsed = Store(ParseNumber<uint32_t>(value), checkpoint.partition);
     } else if (key == "num_partitions") {
-      parsed = ParseUint(value, u) && u >= 1 && u <= 0xFFFFFFFFULL;
-      checkpoint.num_partitions = static_cast<uint32_t>(u);
+      parsed = Store(ParseNumber<uint32_t>(value), checkpoint.num_partitions) &&
+               checkpoint.num_partitions >= 1;
     } else if (key == "chunk_queries") {
-      parsed = ParseUint(value, checkpoint.chunk_queries);
+      parsed = Store(ParseNumber<uint64_t>(value), checkpoint.chunk_queries);
     } else if (key == "next_index") {
-      parsed = ParseUint(value, checkpoint.next_index);
+      parsed = Store(ParseNumber<uint64_t>(value), checkpoint.next_index);
     } else if (key == "seconds") {
-      parsed = ParseDouble(value, checkpoint.seconds);
+      parsed = Store(ParseNumber<double>(value), checkpoint.seconds);
     } else if (key == "stats") {
+      const std::vector<std::string_view> f = Split(value, " ");
       QueryStats& s = checkpoint.stats;
-      parsed = std::sscanf(value.c_str(),
-                           "%" SCNu64 " %" SCNu64 " %" SCNu64 " %" SCNu64
-                           " %" SCNu64 " %" SCNu64 " %" SCNu64 " %lg",
-                           &s.candidates_enumerated, &s.pruned_by_distance,
-                           &s.pruned_by_l1, &s.pruned_by_l2,
-                           &s.rough_estimates, &s.skipped_after_estimate,
-                           &s.refined, &s.seconds) == 8;
+      parsed = f.size() == 8 &&
+               Store(ParseNumber<uint64_t>(f[0]), s.candidates_enumerated) &&
+               Store(ParseNumber<uint64_t>(f[1]), s.pruned_by_distance) &&
+               Store(ParseNumber<uint64_t>(f[2]), s.pruned_by_l1) &&
+               Store(ParseNumber<uint64_t>(f[3]), s.pruned_by_l2) &&
+               Store(ParseNumber<uint64_t>(f[4]), s.rough_estimates) &&
+               Store(ParseNumber<uint64_t>(f[5]), s.skipped_after_estimate) &&
+               Store(ParseNumber<uint64_t>(f[6]), s.refined) &&
+               Store(ParseNumber<double>(f[7]), s.seconds);
     } else if (key == "chunk") {
-      const size_t space = value.find(' ');
-      CheckpointChunk chunk;
-      parsed = space != std::string::npos && space > 0;
-      if (parsed) {
-        chunk.file = value.substr(0, space);
-        parsed = ParseUint(value.substr(space + 1), chunk.bytes) &&
-                 chunk.file.find('/') == std::string::npos;
-      }
-      if (parsed) checkpoint.chunks.push_back(std::move(chunk));
+      const std::vector<std::string_view> f = Split(value, " ");
+      CheckpointChunk& chunk = checkpoint.chunks.emplace_back();
+      chunk.file = f[0];  // Split returns at least one field
+      parsed = f.size() == 2 && !chunk.file.empty() &&
+               chunk.file.find('/') == std::string::npos &&
+               Store(ParseNumber<uint64_t>(f[1]), chunk.bytes);
     } else {
       // Unknown keys are a format error: v1 readers refuse rather than
       // guess, and future versions bump the tag.
       parsed = false;
     }
-    if (!parsed) return Malformed(dir, "bad value in line '" + line + "'");
-    if (key != "chunk" && !seen.emplace(key, true).second) {
-      return Malformed(dir, "duplicate key '" + key + "'");
+    if (!parsed) {
+      return Malformed(dir, "bad value in line '" + std::string(line) + "'");
+    }
+    if (key != "chunk" && !seen.insert(key).second) {
+      return Malformed(dir, "duplicate key '" + std::string(key) + "'");
     }
   }
   for (const char* required :
        {"graph_n", "graph_m", "fingerprint", "partition", "num_partitions",
         "next_index"}) {
-    if (seen.find(required) == seen.end()) {
+    if (!seen.contains(required)) {
       return Malformed(dir, std::string("missing key '") + required + "'");
     }
   }
@@ -266,6 +230,14 @@ Status ValidateCheckpoint(const AllPairsCheckpoint& checkpoint,
         std::to_string(checkpoint.partition) + "/" +
         std::to_string(checkpoint.num_partitions) + ", not " +
         std::to_string(partition) + "/" + std::to_string(num_partitions));
+  }
+  const size_t shard_size =
+      ShardSize(graph.NumVertices(), partition, num_partitions);
+  if (checkpoint.next_index > shard_size) {
+    return Status::Corruption(
+        dir + ": checkpoint resumes at query " +
+        std::to_string(checkpoint.next_index) + " of a " +
+        std::to_string(shard_size) + "-query shard");
   }
   for (const CheckpointChunk& chunk : checkpoint.chunks) {
     struct stat st = {};

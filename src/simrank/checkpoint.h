@@ -18,6 +18,7 @@
 // any instant therefore leaves a manifest whose chunk list is entirely
 // readable; at worst the work since the last manifest update is redone.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -71,6 +72,10 @@ struct AllPairsCheckpoint {
 /// query results (parameters, pruning toggles, walk counts, seed, ...).
 uint64_t FingerprintOptions(const SearchOptions& options);
 
+/// Queries in shard `partition` of `num_partitions` over n vertices: the
+/// vertices v < n with v % num_partitions == partition.
+size_t ShardSize(Vertex n, uint32_t partition, uint32_t num_partitions);
+
 /// The checkpoint directory of an output path: `<tsv_path>.ckpt`.
 std::string CheckpointDirFor(const std::string& tsv_path);
 
@@ -83,9 +88,10 @@ Status WriteCheckpoint(const AllPairsCheckpoint& checkpoint,
 Result<AllPairsCheckpoint> ReadCheckpoint(const std::string& dir);
 
 /// Validates `checkpoint` against the run about to execute: graph shape,
-/// options fingerprint, and partition config must match, and every listed
-/// chunk file must exist in `dir` with its recorded size. Returns
-/// InvalidArgument naming the first mismatch, or Corruption for a
+/// options fingerprint, and partition config must match, `next_index`
+/// must lie within the shard, and every listed chunk file must exist in
+/// `dir` with its recorded size. Returns InvalidArgument naming the first
+/// mismatch, or Corruption for an out-of-shard `next_index` or a
 /// missing/short chunk.
 Status ValidateCheckpoint(const AllPairsCheckpoint& checkpoint,
                           const TopKSearcher& searcher, uint32_t partition,

@@ -1,10 +1,12 @@
 #include "util/fault_injection.h"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
+#include <string_view>
 
 #include "util/check.h"
+#include "util/parse.h"
 
 namespace simrank::fault {
 
@@ -16,25 +18,21 @@ Status ParseTrigger(const std::string& token, SiteConfig& config) {
   if (token.empty()) {
     return Status::InvalidArgument("fault spec: empty trigger");
   }
-  char* end = nullptr;
   if (token[0] == 'p') {
-    errno = 0;
-    const double p = std::strtod(token.c_str() + 1, &end);
-    if (end != token.c_str() + token.size() || errno == ERANGE || !(p >= 0.0) ||
-        p > 1.0) {
+    const std::optional<double> p = ParseNumber<double>(token.substr(1));
+    if (!p.has_value() || !(*p >= 0.0) || *p > 1.0) {
       return Status::InvalidArgument("fault spec: bad probability '" + token +
                                      "'");
     }
-    config.probability = p;
+    config.probability = *p;
     return Status::OK();
   }
-  errno = 0;
-  const unsigned long long n = std::strtoull(token.c_str(), &end, 10);
-  if (end != token.c_str() + token.size() || errno == ERANGE || n == 0) {
+  const std::optional<uint64_t> n = ParseNumber<uint64_t>(token);
+  if (!n.has_value() || *n == 0) {
     return Status::InvalidArgument("fault spec: bad hit count '" + token +
                                    "'");
   }
-  config.on_hit = n;
+  config.on_hit = *n;
   return Status::OK();
 }
 
@@ -64,6 +62,15 @@ Status ParseClause(const std::string& clause, std::string& site,
   return ParseTrigger(clause.substr(at + 1), config);
 }
 
+// A chaos run with a typo'd variable must fail loudly, not silently test
+// nothing (or test with another seed than it names).
+[[noreturn]] void AbortOnBadVariable(const char* variable,
+                                     const std::string& message) {
+  std::fprintf(stderr, "%s: %s\n", variable, message.c_str());
+  std::fflush(stderr);
+  std::abort();
+}
+
 }  // namespace
 
 FaultInjector& FaultInjector::Default() {
@@ -71,19 +78,18 @@ FaultInjector& FaultInjector::Default() {
     auto* instance = new FaultInjector();
     if (const char* seed = std::getenv("SIMRANK_FAULT_SEED");
         seed != nullptr && *seed != '\0') {
-      instance->set_seed(std::strtoull(seed, nullptr, 10));
+      const std::optional<uint64_t> value = ParseNumber<uint64_t>(seed);
+      if (!value.has_value()) {
+        AbortOnBadVariable("SIMRANK_FAULT_SEED",
+                           "expected a decimal unsigned 64-bit integer, got '" +
+                               std::string(seed) + "'");
+      }
+      instance->set_seed(*value);
     }
     if (const char* spec = std::getenv("SIMRANK_FAULTS");
         spec != nullptr && *spec != '\0') {
       const Status status = instance->ArmFromSpec(spec);
-      if (!status.ok()) {
-        // A chaos run with a typo'd spec must fail loudly, not silently
-        // test nothing.
-        std::fprintf(stderr, "SIMRANK_FAULTS: %s\n",
-                     status.ToString().c_str());
-        std::fflush(stderr);
-        std::abort();
-      }
+      if (!status.ok()) AbortOnBadVariable("SIMRANK_FAULTS", status.ToString());
     }
     return instance;
   }();
@@ -97,16 +103,11 @@ void FaultInjector::Arm(const std::string& site, SiteConfig config) {
 }
 
 Status FaultInjector::ArmFromSpec(const std::string& spec) {
-  size_t pos = 0;
-  while (pos <= spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string clause = spec.substr(pos, comma - pos);
-    pos = comma + 1;
+  for (const std::string_view clause : Split(spec, ",")) {
     if (clause.empty()) continue;
     std::string site;
     SiteConfig config;
-    SIMRANK_RETURN_IF_ERROR(ParseClause(clause, site, config));
+    SIMRANK_RETURN_IF_ERROR(ParseClause(std::string(clause), site, config));
     Arm(site, config);
   }
   return Status::OK();

@@ -76,8 +76,9 @@ class FaultInjector {
  public:
   /// The process-wide injector used by SIMRANK_FAULT_POINT. On first use
   /// it arms itself from the SIMRANK_FAULTS / SIMRANK_FAULT_SEED
-  /// environment variables (a malformed spec is a CHECK failure: a typo'd
-  /// chaos run must not silently test nothing).
+  /// environment variables (a malformed spec, or a seed that is not a
+  /// decimal unsigned 64-bit integer, aborts: a typo'd chaos run must not
+  /// silently test nothing).
   static FaultInjector& Default();
 
   FaultInjector() = default;

@@ -8,14 +8,10 @@ namespace simrank {
 BinaryWriter::BinaryWriter(const std::string& path) : writer_(path) {}
 
 void BinaryWriter::WriteBytes(const void* data, size_t size) {
-  if (!status_.ok() || size == 0) return;
-  writer_.Append(data, size);
+  if (size > 0) writer_.Append(data, size);
 }
 
-Status BinaryWriter::Finish() {
-  if (status_.ok()) status_ = writer_.Commit();
-  return status_;
-}
+Status BinaryWriter::Finish() { return writer_.Commit(); }
 
 BinaryReader::BinaryReader(const std::string& path)
     : file_(std::fopen(path.c_str(), "rb")), path_(path) {
@@ -67,6 +63,24 @@ bool BinaryReader::ReadBytes(void* data, size_t size) {
   }
   remaining_ -= size < remaining_ ? size : remaining_;
   return true;
+}
+
+Result<std::string> ReadFile(const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) {
+    return Status::IoError("cannot open " + path + ": " +
+                           std::strerror(errno));
+  }
+  std::string text;
+  char buf[1 << 16];
+  size_t got;
+  while ((got = std::fread(buf, 1, sizeof(buf), file)) > 0) {
+    text.append(buf, got);
+  }
+  const bool read_error = std::ferror(file) != 0;
+  std::fclose(file);
+  if (read_error) return Status::IoError("read error on " + path);
+  return text;
 }
 
 }  // namespace simrank

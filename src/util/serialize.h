@@ -18,9 +18,8 @@ namespace simrank {
 /// The writer stages everything through util::AtomicFileWriter: nothing
 /// touches `path` until Finish() commits (temp file + fsync + rename), so
 /// an interrupted save never leaves a truncated file — and never clobbers
-/// a good previous file — at the final path. All methods are no-ops after
-/// the first failure; call Finish() to commit and retrieve the final
-/// status.
+/// a good previous file — at the final path. Writes only stage bytes in
+/// memory and cannot fail; Finish() commits and returns the status.
 class BinaryWriter {
  public:
   explicit BinaryWriter(const std::string& path);
@@ -43,8 +42,6 @@ class BinaryWriter {
     WriteBytes(values.data(), values.size() * sizeof(T));
   }
 
-  bool ok() const { return status_.ok(); }
-
   /// Atomically publishes the staged bytes to the path and returns the
   /// final status. Must be called exactly once before destruction for the
   /// file to appear; without it nothing is written.
@@ -54,7 +51,6 @@ class BinaryWriter {
   void WriteBytes(const void* data, size_t size);
 
   AtomicFileWriter writer_;
-  Status status_;
 };
 
 /// Checked binary reader matching BinaryWriter. Read methods return false
@@ -114,6 +110,11 @@ class BinaryReader {
   std::string path_;
   Status status_;
 };
+
+/// The whole content of the file at `path`: the one reader of text files
+/// from outside the program (edge lists, checkpoint manifests and
+/// chunks). IoError when the file cannot be opened or read.
+Result<std::string> ReadFile(const std::string& path);
 
 }  // namespace simrank
 

@@ -1,6 +1,6 @@
 // Fixture: rule R5 must stay quiet — every durable IO site (atomic
-// writer, stdio loader, binary writer/reader) carries a
-// SIMRANK_FAULT_POINT within the window.
+// writer, stdio loader, binary writer/reader, whole-file reader) carries
+// a SIMRANK_FAULT_POINT within the window.
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -42,4 +42,9 @@ simrank::Status LoadIndex(const std::string& path, uint64_t& magic) {
   simrank::BinaryReader reader(path);
   if (!reader.Read(magic)) return reader.status();
   return simrank::Status::OK();
+}
+
+simrank::Result<std::string> LoadText(const std::string& path) {
+  SIMRANK_FAULT_POINT("fixture.text.load");
+  return simrank::ReadFile(path);
 }

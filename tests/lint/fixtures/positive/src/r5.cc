@@ -24,3 +24,7 @@ simrank::Status LoadIndex(const std::string& path, uint64_t& magic) {
   if (!reader.Read(magic)) return reader.status();
   return simrank::Status::OK();
 }
+
+simrank::Result<std::string> LoadText(const std::string& path) {
+  return simrank::ReadFile(path);
+}

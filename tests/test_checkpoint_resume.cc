@@ -152,6 +152,13 @@ TEST_F(CheckpointResumeTest, MalformedManifestsAreCorruption) {
       // Unparseable number.
       "simrank-allpairs-ckpt-v1\ngraph_n=banana\ngraph_m=1\nfingerprint=0\n"
       "partition=0\nnum_partitions=1\nnext_index=0\n",
+      // A signed number, which strtoull would have negated to 2^64 - 1.
+      "simrank-allpairs-ckpt-v1\ngraph_n=1\ngraph_m=1\nfingerprint=0\n"
+      "partition=0\nnum_partitions=1\nnext_index=-1\n",
+      // Trailing text after the stats line's last number.
+      "simrank-allpairs-ckpt-v1\ngraph_n=1\ngraph_m=1\nfingerprint=0\n"
+      "partition=0\nnum_partitions=1\nnext_index=0\n"
+      "stats=0 0 0 0 0 0 0 0.307junk\n",
   };
   for (const std::string& text : bad_manifests) {
     ASSERT_TRUE(AtomicWriteFile(manifest, text).ok());
@@ -183,6 +190,14 @@ TEST_F(CheckpointResumeTest, ValidateRejectsEveryMismatch) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(ValidateCheckpoint(ckpt, *searcher_, 0, 2, dir).code(),
             StatusCode::kInvalidArgument);
+
+  // A resume point past the end of the shard would skip queries.
+  wrong = ckpt;
+  wrong.next_index = graph_.NumVertices();
+  EXPECT_TRUE(ValidateCheckpoint(wrong, *searcher_, 0, 1, dir).ok());
+  wrong.next_index += 1;
+  EXPECT_EQ(ValidateCheckpoint(wrong, *searcher_, 0, 1, dir).code(),
+            StatusCode::kCorruption);
 
   // A manifest-listed chunk that is missing or short is corruption.
   wrong = ckpt;

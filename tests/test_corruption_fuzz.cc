@@ -100,6 +100,7 @@ TEST(CorruptionFuzzTest, EdgeListTextRejectsGarbageLines) {
       "9999999999999999999999 3\n",
       "1\n",
       "-4 2\n",
+      "+4 2\n",
   };
   for (const std::string& text : bad_inputs) {
     ASSERT_TRUE(AtomicWriteFile(path, text).ok());

@@ -54,6 +54,14 @@ TEST(ParseEdgeListTest, DeduplicationIsOptional) {
   EXPECT_EQ(result->NumEdges(), 2u);
 }
 
+TEST(ParseEdgeListTest, IgnoresFieldsAfterTheIds) {
+  // SNAP files may carry a weight column.
+  const auto result = ParseEdgeListText("1 2 0.5\n");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->NumEdges(), 1u);
+  EXPECT_TRUE(result->HasEdge(1, 2));
+}
+
 TEST(ParseEdgeListTest, RejectsGarbage) {
   const auto result = ParseEdgeListText("0 1\nfoo bar\n");
   ASSERT_FALSE(result.ok());

@@ -1,15 +1,17 @@
-// Tests for Status/Result, TopKCollector, WalkCounter, TablePrinter and
-// ThreadPool.
+// Tests for Status/Result, TopKCollector, WalkCounter, TablePrinter,
+// ThreadPool and the input parsers (ParseNumber, Split, Flags).
 
 #include <algorithm>
 #include <atomic>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "util/counter.h"
+#include "util/parse.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/table.h"
@@ -276,6 +278,105 @@ TEST(ParallelForTest, EmptyRangeIsNoop) {
   bool called = false;
   ParallelFor(&pool, 5, 5, [&](size_t) { called = true; });
   EXPECT_FALSE(called);
+}
+
+// ---------- ParseNumber / Split / Flags ----------
+
+TEST(ParseNumberTest, TakesTheWholeTextOrNothing) {
+  EXPECT_EQ(ParseNumber<uint64_t>("42"), 42u);
+  EXPECT_EQ(ParseNumber<double>("2.5"), 2.5);
+  EXPECT_EQ(ParseNumber<double>("1e-3"), 1e-3);
+  for (const char* bad : {"", "-1", "+4", " 12", "12 ", "12x", "0x10"}) {
+    EXPECT_FALSE(ParseNumber<uint64_t>(bad).has_value()) << bad;
+  }
+  for (const char* bad : {"", "+1", "0.307junk", "O.5", " 1"}) {
+    EXPECT_FALSE(ParseNumber<double>(bad).has_value()) << bad;
+  }
+}
+
+TEST(ParseNumberTest, RefusesOverflow) {
+  EXPECT_EQ(ParseNumber<uint64_t>("18446744073709551615"),
+            std::numeric_limits<uint64_t>::max());
+  EXPECT_FALSE(ParseNumber<uint64_t>("18446744073709551616").has_value());
+  EXPECT_EQ(ParseNumber<uint32_t>("4294967295"), 4294967295u);
+  EXPECT_FALSE(ParseNumber<uint32_t>("4294967296").has_value());
+  EXPECT_FALSE(ParseNumber<double>("1e999").has_value());
+}
+
+TEST(ParseNumberTest, ReadsIntegersInABase) {
+  EXPECT_EQ(ParseNumber<uint64_t>("deadbeefcafef00d", 16),
+            0xdeadbeefcafef00dULL);
+  EXPECT_EQ(ParseNumber<uint64_t>("00000000000000ff", 16), 255u);
+  EXPECT_FALSE(ParseNumber<uint64_t>("0xff", 16).has_value());
+  EXPECT_FALSE(ParseNumber<uint64_t>("ff").has_value());
+}
+
+TEST(SplitTest, KeepsEmptyFields) {
+  using Fields = std::vector<std::string_view>;
+  EXPECT_EQ(Split("1::0:0", ":"), (Fields{"1", "", "0", "0"}));
+  EXPECT_EQ(Split("", ","), (Fields{""}));
+  EXPECT_EQ(Split("a,", ","), (Fields{"a", ""}));
+  EXPECT_EQ(Split("1 2\t\t3", " \t"), (Fields{"1", "2", "", "3"}));
+}
+
+// Parses `args` (no program name) against a spec with one flag of each
+// grammar.
+Result<Flags> ParseFlags(std::vector<std::string> args) {
+  constexpr FlagSpec kSpec = {
+      .strings = "out",
+      .bools = "resume",
+      .uints = "k",
+      .doubles = "threshold",
+  };
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  return Flags::Parse(static_cast<int>(argv.size()), argv.data(), 0, kSpec);
+}
+
+// Parse refuses `arg` with InvalidArgument naming its flag.
+void ExpectRefused(const std::string& arg) {
+  const Result<Flags> flags = ParseFlags({arg});
+  ASSERT_FALSE(flags.ok()) << arg;
+  EXPECT_EQ(flags.status().code(), StatusCode::kInvalidArgument) << arg;
+  const std::string name = arg.substr(0, arg.find('='));
+  EXPECT_NE(flags.status().message().find(name), std::string::npos)
+      << arg << ": " << flags.status().message();
+}
+
+TEST(FlagsTest, BoolsAreTrueFalseOneOrZero) {
+  for (const char* arg : {"--resume", "--resume=true", "--resume=1"}) {
+    const Result<Flags> flags = ParseFlags({arg});
+    ASSERT_TRUE(flags.ok()) << arg;
+    EXPECT_TRUE(flags->GetBool("resume")) << arg;
+  }
+  for (const char* arg : {"--resume=false", "--resume=0"}) {
+    const Result<Flags> flags = ParseFlags({arg});
+    ASSERT_TRUE(flags.ok()) << arg;
+    EXPECT_FALSE(flags->GetBool("resume")) << arg;
+  }
+  EXPECT_FALSE(ParseFlags({}).value().GetBool("resume"));
+  for (const char* arg : {"--resume=no", "--resume=yes", "--resume=TRUE",
+                          "--resume="}) {
+    ExpectRefused(arg);
+  }
+}
+
+TEST(FlagsTest, RefusesUnknownFlagsAndMalformedNumbers) {
+  for (const char* arg : {"--thresold=0.5", "--k=3x", "--k=-1", "--k",
+                          "--threshold=O.5", "--threshold="}) {
+    ExpectRefused(arg);
+  }
+}
+
+TEST(FlagsTest, ReadsValuesAndPositionals) {
+  const Result<Flags> flags =
+      ParseFlags({"g.bin", "--k=7", "--threshold=0.25", "--out=x.tsv"});
+  ASSERT_TRUE(flags.ok()) << flags.status().ToString();
+  EXPECT_EQ(flags->GetInt("k", 1), 7u);
+  EXPECT_EQ(flags->GetDouble("threshold", 0.0), 0.25);
+  EXPECT_EQ(flags->GetString("out"), "x.tsv");
+  EXPECT_EQ(flags->GetString("missing", "fallback"), "fallback");
+  EXPECT_EQ(flags->positional(), std::vector<std::string>{"g.bin"});
 }
 
 }  // namespace

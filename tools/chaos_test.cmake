@@ -30,6 +30,15 @@ run_checked(${CLI} generate --family=web --n=600 --m=3000 --seed=11
             --out=${graph})
 run_checked(${CLI} preprocess ${graph} --index=${index})
 
+# A malformed seed aborts like a malformed SIMRANK_FAULTS: a chaos run
+# must not quietly run with another seed than the one it names.
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E env SIMRANK_FAULT_SEED=7x ${CLI} stats ${graph}
+  RESULT_VARIABLE code OUTPUT_QUIET ERROR_VARIABLE err)
+if(code EQUAL 0 OR NOT err MATCHES "SIMRANK_FAULT_SEED")
+  message(FATAL_ERROR "SIMRANK_FAULT_SEED=7x was not refused (${code})\n${err}")
+endif()
+
 # Small checkpoint interval so every run spans many chunks; single
 # partition covering all 600 vertices.
 set(allpairs_args ${graph} --index=${index} --threads=2

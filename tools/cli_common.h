@@ -2,23 +2,16 @@
 #define SIMRANK_TOOLS_CLI_COMMON_H_
 
 // Plumbing shared by the command-line tools (simrank_cli,
-// simrank_loadgen): the tiny --key=value flag parser, which refuses
-// flags a tool does not define and malformed numbers, the documented
-// Status -> exit-code mapping (Fail), the graph loader, the --family,
-// --backend and --slo grammars, and the closing --obs-json /
-// --events-json reports. Header-only so each tool stays a single
-// translation unit.
+// simrank_loadgen): the documented Status -> exit-code mapping (Fail),
+// the graph loader, the --family, --backend and --slo grammars, and the
+// closing --obs-json / --events-json reports. Flags are parsed by
+// simrank::Flags (util/parse.h), the grammar the benches share.
+// Header-only so each tool stays a single translation unit.
 
-#include <algorithm>
-#include <charconv>
-#include <cstdint>
 #include <cstdio>
-#include <map>
 #include <optional>
-#include <ranges>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <vector>
 
 #include "eval/datasets.h"
@@ -27,100 +20,10 @@
 #include "obs/metrics.h"
 #include "obs/rolling.h"
 #include "simrank/searcher_backend.h"
+#include "util/parse.h"
 #include "util/status.h"
 
 namespace simrank::tools {
-
-// --------- tiny flag parser ---------
-
-// The flags a tool defines: space-separated names per value grammar.
-// Numeric values must parse completely: "3x" is not an integer and "O.5"
-// is not a number.
-struct FlagSpec {
-  std::string_view strings, bools, uints, doubles;
-};
-
-// True when the space-separated `names` include `name`.
-inline bool Lists(std::string_view names, std::string_view name) {
-  return std::ranges::any_of(std::views::split(names, ' '), [&](auto word) {
-    return std::string_view(word.begin(), word.end()) == name;
-  });
-}
-
-// `text` as a T (uint64_t or double) when all of it parses.
-template <typename T>
-std::optional<T> ParseNumber(std::string_view text) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end) return std::nullopt;
-  return value;
-}
-
-class Flags {
- public:
-  // Parses argv[first, argc): `--name=value`, `--name` (the value
-  // "true"), anything else positional. A name `spec` does not list, or a
-  // numeric value that does not parse completely, is InvalidArgument
-  // naming the flag, so a tool refuses it before it does any work.
-  static Result<Flags> Parse(int argc, char** argv, int first,
-                             const FlagSpec& spec) {
-    Flags flags;
-    for (int i = first; i < argc; ++i) {
-      const std::string_view arg = argv[i];
-      if (!arg.starts_with("--")) {
-        flags.positional_.emplace_back(arg);
-        continue;
-      }
-      const size_t eq = arg.find('=');
-      const std::string name(arg.substr(2, eq - 2));
-      const std::string value(eq == arg.npos ? "true" : arg.substr(eq + 1));
-      const bool uint = Lists(spec.uints, name);
-      const bool number = uint || Lists(spec.doubles, name);
-      if (!number && !Lists(spec.bools, name) && !Lists(spec.strings, name)) {
-        return Status::InvalidArgument("unknown flag --" + name);
-      }
-      if (number && !(uint ? ParseNumber<uint64_t>(value).has_value()
-                           : ParseNumber<double>(value).has_value())) {
-        return Status::InvalidArgument(
-            "--" + name + ": expected " +
-            (uint ? "a non-negative integer" : "a number") + ", got '" +
-            value + "'");
-      }
-      flags.values_[name] = value;
-    }
-    return flags;
-  }
-
-  std::string GetString(const std::string& key,
-                        const std::string& fallback = "") const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  // The numeric getters read values Parse checked; a flag read with the
-  // wrong getter throws std::bad_optional_access.
-  uint64_t GetInt(const std::string& key, uint64_t fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback
-                               : ParseNumber<uint64_t>(it->second).value();
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback
-                               : ParseNumber<double>(it->second).value();
-  }
-  bool GetBool(const std::string& key) const {
-    auto it = values_.find(key);
-    return it != values_.end() && it->second != "false";
-  }
-  const std::vector<std::string>& positional() const { return positional_; }
-
- private:
-  Flags() = default;
-
-  std::map<std::string, std::string> values_;
-  std::vector<std::string> positional_;
-};
 
 // Prints a failed Status and returns its exit code, by the documented
 // mapping (see each tool's header comment). Argument-shaped codes
@@ -217,21 +120,16 @@ inline int WriteReports(const Flags& flags) {
 inline Status ConfigureSlos(const Flags& flags) {
   const std::string spec = flags.GetString("slo");
   std::vector<obs::SloSpec> slos;
-  size_t pos = 0;
-  while (pos <= spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string clause = spec.substr(pos, comma - pos);
-    pos = comma + 1;
+  for (const std::string_view clause : Split(spec, ",")) {
     if (clause.empty()) continue;
-    const size_t colon = clause.find(':');
-    if (colon == std::string::npos || colon == 0 ||
-        colon + 1 >= clause.size()) {
+    const std::vector<std::string_view> fields = Split(clause, ":");
+    if (fields.size() != 2 || fields[0].empty() || fields[1].empty()) {
       return Status::InvalidArgument(
-          "--slo: expected objective:threshold, got '" + clause + "'");
+          "--slo: expected objective:threshold, got '" + std::string(clause) +
+          "'");
     }
     obs::SloSpec slo;
-    slo.name = clause.substr(0, colon);
+    slo.name = fields[0];
     if (slo.name == "p50") {
       slo.objective = obs::SloSpec::Objective::kLatencyP50;
     } else if (slo.name == "p95") {
@@ -248,11 +146,10 @@ inline Status ConfigureSlos(const Flags& flags) {
       return Status::InvalidArgument("--slo: unknown objective '" +
                                      slo.name + "'");
     }
-    const std::optional<double> threshold =
-        ParseNumber<double>(std::string_view(clause).substr(colon + 1));
+    const std::optional<double> threshold = ParseNumber<double>(fields[1]);
     if (!threshold.has_value()) {
-      return Status::InvalidArgument("--slo: bad threshold in '" + clause +
-                                     "'");
+      return Status::InvalidArgument("--slo: bad threshold in '" +
+                                     std::string(clause) + "'");
     }
     slo.threshold = *threshold;
     slos.push_back(std::move(slo));

@@ -95,7 +95,8 @@ expect_code(2 ${CLI} allpairs ${graph} --out=${WORK_DIR}/x.tsv
             --backend=exact)
 # A malformed number or a flag the tool does not define is refused, naming
 # the flag, before the command does any work.
-foreach(bad --k=3x --threshold=O.5 --thresold=0.5)
+foreach(bad --k=3x --threshold=O.5 --thresold=0.5 --resume=no
+            --estimate-diagonal=yes)
   expect_code(2 ${CLI} query ${graph} --vertex=1 ${bad})
   string(REGEX REPLACE "=.*" "" name "${bad}")
   if(NOT LAST_ERROR MATCHES "error: .*${name}")

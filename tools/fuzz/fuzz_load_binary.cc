@@ -104,19 +104,6 @@ bool WriteFileBytes(const std::string& path, const std::string& bytes) {
   return ok && std::fclose(file) == 0;
 }
 
-std::string Slurp(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return {};
-  std::string text;
-  char buf[1 << 14];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), file)) > 0) {
-    text.append(buf, got);
-  }
-  std::fclose(file);
-  return text;
-}
-
 int MakeCorpus(const std::string& dir) {
   simrank::Rng rng(7);
   const simrank::DirectedGraph graph = simrank::MakeErdosRenyi(32, 128, rng);
@@ -125,7 +112,12 @@ int MakeCorpus(const std::string& dir) {
     std::fprintf(stderr, "cannot write %s\n", valid_path.c_str());
     return 1;
   }
-  const std::string valid = Slurp(valid_path);
+  const simrank::Result<std::string> read = simrank::ReadFile(valid_path);
+  if (!read.ok()) {
+    std::fprintf(stderr, "%s\n", read.status().ToString().c_str());
+    return 1;
+  }
+  const std::string& valid = *read;
 
   bool ok = true;
   // Structural corruptions of the valid file: these are the interesting
@@ -171,9 +163,10 @@ int MakeCorpus(const std::string& dir) {
 namespace {
 
 int ReplayFile(const std::string& path) {
-  const std::string bytes = Slurp(path);
+  const simrank::Result<std::string> bytes = simrank::ReadFile(path);
+  if (!bytes.ok()) return 0;
   (void)LLVMFuzzerTestOneInput(
-      reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
+      reinterpret_cast<const uint8_t*>(bytes->data()), bytes->size());
   return 1;
 }
 

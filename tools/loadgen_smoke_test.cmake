@@ -68,7 +68,8 @@ if(NOT CMAKE_MATCH_1 EQUAL first_arrivals)
                       "${CMAKE_MATCH_1} arrivals")
 endif()
 
-foreach(bad --qps=6O --qsp=60)
+foreach(bad --qps=6O --qsp=60 --burst=0.1:0.2:2x --mix=1:0:0:0junk
+            --find-max=no)
   execute_process(COMMAND ${LOADGEN} ${bad} RESULT_VARIABLE code
                   OUTPUT_QUIET ERROR_VARIABLE err)
   string(REGEX REPLACE "=.*" "" name "${bad}")

@@ -10,6 +10,10 @@
 // Graphs are loaded from the library binary format when the path ends in
 // .bin, otherwise parsed as a whitespace edge list (SNAP format).
 //
+// Flags are `--name=value` (a bare `--name` is true). An undefined flag
+// (--thresold), a number that does not parse completely (--k=3x) or a
+// boolean other than true, false, 1 or 0 (--resume=no) exits 2.
+//
 // Exit codes (stable; scripts may branch on them):
 //   0  success
 //   1  internal/unclassified error
@@ -41,11 +45,10 @@ namespace {
 using namespace simrank;
 using tools::BackendFromFlags;
 using tools::Fail;
-using tools::Flags;
 using tools::LoadGraph;
 
 // Every flag simrank_cli defines, across its commands.
-constexpr tools::FlagSpec kFlags = {
+constexpr FlagSpec kFlags = {
     .strings = "backend events-json family index obs-json out postmortem slo",
     .bools = "estimate-diagonal keep-checkpoint resume",
     .uints = "checkpoint-interval k m n partition partitions repeat seed "

@@ -26,12 +26,16 @@
 // SIMRANK_FAULTS=service.query.exec=error@K to exercise chaos under
 // load (tools/chaos_test.cmake does).
 //
+// Flags follow simrank_cli's grammar; a --burst clause must hold exactly
+// 3 numbers and --mix exactly 4, or the tool exits 2.
+//
 // Exit codes match simrank_cli: 0 ok, 1 internal, 2 usage, 3 io,
 // 4 corruption, 5 deadline/degraded/overload-shed.
 
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cli_common.h"
@@ -44,10 +48,9 @@ namespace {
 
 using namespace simrank;
 using tools::Fail;
-using tools::Flags;
 
 // Every flag simrank_loadgen defines.
-constexpr tools::FlagSpec kFlags = {
+constexpr FlagSpec kFlags = {
     .strings = "backend burst events-json family mix obs-json out slo",
     .bools = "find-max help",
     .uints = "batch-queue breach-steps cache-capacity clients "
@@ -77,33 +80,37 @@ Result<DirectedGraph> BuildGraph(const Flags& flags) {
   return eval::Generate(spec);
 }
 
+// The colon-separated numbers of `text`; none when one does not parse.
+std::vector<double> ParseColonNumbers(std::string_view text) {
+  std::vector<double> numbers;
+  for (const std::string_view field : Split(text, ":")) {
+    const std::optional<double> number = ParseNumber<double>(field);
+    if (!number.has_value()) return {};
+    numbers.push_back(*number);
+  }
+  return numbers;
+}
+
 // --burst grammar: comma-separated start:duration:multiplier clauses.
 Status ParseBursts(const std::string& spec,
                    std::vector<loadgen::BurstPhase>* bursts) {
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string clause = spec.substr(pos, comma - pos);
-    pos = comma + 1;
+  for (const std::string_view clause : Split(spec, ",")) {
     if (clause.empty()) continue;
-    loadgen::BurstPhase burst;
-    if (std::sscanf(clause.c_str(), "%lf:%lf:%lf", &burst.start_seconds,
-                    &burst.duration_seconds, &burst.rate_multiplier) != 3) {
+    const std::vector<double> b = ParseColonNumbers(clause);
+    if (b.size() != 3) {
       return Status::InvalidArgument(
-          "--burst: expected start:duration:multiplier, got '" + clause +
-          "'");
+          "--burst: expected start:duration:multiplier, got '" +
+          std::string(clause) + "'");
     }
-    bursts->push_back(burst);
+    bursts->push_back(loadgen::BurstPhase{b[0], b[1], b[2]});
   }
   return Status::OK();
 }
 
 // --mix grammar: topk:pair:group:background weights.
 Status ParseMix(const std::string& spec, loadgen::WorkloadOptions* workload) {
-  double w[4];
-  if (std::sscanf(spec.c_str(), "%lf:%lf:%lf:%lf", &w[0], &w[1], &w[2],
-                  &w[3]) != 4) {
+  const std::vector<double> w = ParseColonNumbers(spec);
+  if (w.size() != 4) {
     return Status::InvalidArgument(
         "--mix: expected topk:pair:group:background, got '" + spec + "'");
   }
